@@ -1,7 +1,10 @@
 // GEMM kernel sweep: scalar vs SIMD vs SIMD+packed across square sizes and
 // thread counts, plus the batch-1 matvec shape the deployed detector hits
-// on every dense inference. Prints a table and writes the same numbers to
-// BENCH_gemm_kernels.json for CI trend tracking.
+// on every dense inference, plus the compact PilotNet's five conv GEMMs
+// (positions x out_c x patch) in float and on every int8 band — narrow
+// n in {8, 12, 16, 20}, the shapes the q8 rungs' forward actually runs.
+// Prints a table and writes the same numbers to BENCH_gemm_kernels.json
+// for CI trend tracking ("gflops" counts 2mnk ops for int8 rows too).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -10,6 +13,9 @@
 
 #include "parallel/parallel_for.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_int8.hpp"
+#include "tensor/gemm_int8_simd.hpp"
+#include "tensor/gemm_int8_vnni.hpp"
 #include "tensor/pack.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -45,8 +51,23 @@ struct Row {
   int64_t m, n, k;
   int threads;
   double gflops;
+  double us;  ///< microseconds per call
 };
 
+struct Shape3 {
+  int64_t m, n, k;
+};
+
+/// The compact PilotNet's conv layers at 60x160 as GEMMs: output positions
+/// x out channels x patch (in_c * kh * kw).
+const std::vector<Shape3> kPilotNetConvShapes = {
+    {2184, 8, 25}, {444, 12, 200}, {68, 16, 300}, {68, 20, 144}, {68, 20, 180}};
+
+double ops(int64_t m, int64_t n, int64_t k) {
+  return 2.0 * static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k);
+}
+
+/// Seconds per call.
 double run_gemm(GemmKernel kernel, bool packed, int64_t m, int64_t n, int64_t k, int threads) {
   parallel::set_num_threads(threads);
   set_gemm_kernel(kernel);
@@ -63,9 +84,38 @@ double run_gemm(GemmKernel kernel, bool packed, int64_t m, int64_t n, int64_t k,
     ppa = &pa;
     ppb = &pb;
   }
-  const double sec = time_per_call(
+  return time_per_call(
       [&] { gemm_ex(a.data(), b.data(), c.data(), m, n, k, GemmEpilogue{}, ppa, ppb); });
-  return 2.0 * static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k) / sec / 1e9;
+}
+
+struct Int8Variant {
+  GemmInt8Kernel kernel;
+  bool vnni;
+};
+
+/// Seconds per call of the q8 conv GEMM as QuantizedForward runs it: A in
+/// the padded quant_a_stride(k) layout, pre-packed B, fused dequant + ReLU.
+double run_gemm_int8(const Int8Variant& v, int64_t m, int64_t n, int64_t k, int threads) {
+  parallel::set_num_threads(threads);
+  set_gemm_int8_kernel(v.kernel);
+  detail::set_int8_vnni(v.vnni);
+  Rng rng(17);
+  const int64_t lda = quant_a_stride(k);
+  std::vector<uint8_t> a(static_cast<size_t>(m * lda), 0);
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      a[static_cast<size_t>(i * lda + kk)] = static_cast<uint8_t>(rng.uniform_int(0, 127));
+    }
+  }
+  std::vector<int8_t> b(static_cast<size_t>(k * n));
+  for (auto& x : b) x = static_cast<int8_t>(rng.uniform_int(-127, 127));
+  std::vector<float> bias(static_cast<size_t>(n), 0.01f);
+  std::vector<float> c(static_cast<size_t>(m * n));
+  const PackedQuantMatrix packed = pack_quant_b(b.data(), k, n);
+  const QuantEpilogue epi{1e-3f, bias.data(), true};
+  return time_per_call([&] {
+    gemm_u8s8_dequant(a.data(), b.data(), c.data(), m, n, k, epi, &packed, lda);
+  });
 }
 
 }  // namespace
@@ -74,9 +124,17 @@ int main() {
   std::printf("GEMM kernel sweep (simd backend: %s, packing %s by default)\n",
               gemm_simd_available() ? gemm_kernel_name(GemmKernel::kSimd) : "unavailable",
               gemm_weight_packing_enabled() ? "on" : "off");
-  std::printf("%-12s %6s %6s %6s %8s %10s\n", "kernel", "m", "n", "k", "threads", "GFLOP/s");
+  std::printf("%-18s %6s %6s %6s %8s %10s %10s\n", "kernel", "m", "n", "k", "threads", "GFLOP/s",
+              "us/call");
 
   std::vector<Row> rows;
+  const auto add = [&rows](const std::string& kernel, const Shape3& s, int threads, double sec) {
+    const Row row{kernel, s.m, s.n, s.k, threads, ops(s.m, s.n, s.k) / sec / 1e9, sec * 1e6};
+    rows.push_back(row);
+    std::printf("%-18s %6lld %6lld %6lld %8d %10.2f %10.2f\n", row.kernel.c_str(),
+                (long long)row.m, (long long)row.n, (long long)row.k, row.threads, row.gflops,
+                row.us);
+  };
   const std::vector<int64_t> sizes = {64, 128, 256, 512};
   const std::vector<int> thread_counts = {1, 4};
 
@@ -94,18 +152,36 @@ int main() {
   for (const Variant& v : variants) {
     for (int threads : thread_counts) {
       for (int64_t n : sizes) {
-        const double gflops = run_gemm(v.kernel, v.packed, n, n, n, threads);
-        rows.push_back({v.name, n, n, n, threads, gflops});
-        std::printf("%-12s %6lld %6lld %6lld %8d %10.2f\n", v.name, (long long)n, (long long)n,
-                    (long long)n, threads, gflops);
+        add(v.name, {n, n, n}, threads, run_gemm(v.kernel, v.packed, n, n, n, threads));
       }
       // The detector's hot dense-inference shape: batch-1 matvec through the
       // autoencoder's input layer (9600 -> 1200).
-      const double gflops = run_gemm(v.kernel, v.packed, 1, 1200, 9600, threads);
-      rows.push_back({v.name, 1, 1200, 9600, threads, gflops});
-      std::printf("%-12s %6d %6d %6d %8d %10.2f\n", v.name, 1, 1200, 9600, threads, gflops);
+      add(v.name, {1, 1200, 9600}, threads, run_gemm(v.kernel, v.packed, 1, 1200, 9600, threads));
+      for (const Shape3& s : kPilotNetConvShapes) {
+        add(v.name, s, threads, run_gemm(v.kernel, v.packed, s.m, s.n, s.k, threads));
+      }
     }
   }
+
+  // Int8 rows: every band the CPU supports, on the PilotNet conv shapes.
+  const GemmInt8Kernel saved_int8 = active_gemm_int8_kernel();
+  const bool saved_vnni = detail::int8_vnni_enabled();
+  std::vector<Int8Variant> int8_variants = {{GemmInt8Kernel::kScalar, false}};
+  if (gemm_int8_simd_available()) {
+    int8_variants.push_back({GemmInt8Kernel::kSimd, false});
+    if (detail::int8_vnni_available()) int8_variants.push_back({GemmInt8Kernel::kSimd, true});
+  }
+  for (const Int8Variant& v : int8_variants) {
+    detail::set_int8_vnni(v.vnni);
+    const std::string name = std::string("int8-") + gemm_int8_kernel_name(v.kernel);
+    for (int threads : thread_counts) {
+      for (const Shape3& s : kPilotNetConvShapes) {
+        add(name, s, threads, run_gemm_int8(v, s.m, s.n, s.k, threads));
+      }
+    }
+  }
+  set_gemm_int8_kernel(saved_int8);
+  detail::set_int8_vnni(saved_vnni);
   parallel::set_num_threads(0);
 
   std::ofstream json("BENCH_gemm_kernels.json");
@@ -114,7 +190,7 @@ int main() {
     const Row& r = rows[i];
     json << "    {\"kernel\": \"" << r.kernel << "\", \"m\": " << r.m << ", \"n\": " << r.n
          << ", \"k\": " << r.k << ", \"threads\": " << r.threads << ", \"gflops\": " << r.gflops
-         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+         << ", \"us\": " << r.us << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::printf("\nwrote BENCH_gemm_kernels.json (%zu rows)\n", rows.size());

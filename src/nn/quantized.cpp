@@ -11,15 +11,6 @@
 namespace salnov::nn {
 namespace {
 
-/// x -> clamp(round(x / sx), 0, 127). Computed as a multiply by 1/sx so the
-/// quantizer is one rounded float op per element, the same everywhere.
-/// Negative inputs clamp to 0, so q(0) == 0 and conv zero padding stays
-/// exact in the integer domain.
-inline uint8_t quantize_u8(float v, float inv_sx) {
-  const long q = std::lrintf(v * inv_sx);
-  return static_cast<uint8_t>(q < 0 ? 0 : (q > 127 ? 127 : q));
-}
-
 /// w -> clamp(round(w / sw), -127, 127), symmetric (no zero point).
 inline int8_t quantize_s8(float v, float sw) {
   const long q = std::lrintf(v / sw);
@@ -45,32 +36,51 @@ const Parameter& quant_weight(const Layer& layer, bool is_conv) {
                  : static_cast<const Dense&>(layer).weight();
 }
 
-/// Quantized, transposed im2col: fills `cols` ([out_h * out_w, patch] u8)
-/// with one sample's unrolled patches — the GEMM A operand, positions as
-/// rows. Padding reads quantize to exactly 0 (see quantize_u8).
-void im2col_quant(const float* x, const Conv2dConfig& cfg, int64_t in_h, int64_t in_w,
-                  int64_t out_h, int64_t out_w, float inv_sx, uint8_t* cols) {
-  const int64_t patch = cfg.in_channels * cfg.kernel_h * cfg.kernel_w;
-  int64_t col = 0;
-  for (int64_t c = 0; c < cfg.in_channels; ++c) {
-    const float* x_plane = x + c * in_h * in_w;
-    for (int64_t kh = 0; kh < cfg.kernel_h; ++kh) {
-      for (int64_t kw = 0; kw < cfg.kernel_w; ++kw, ++col) {
-        for (int64_t oy = 0; oy < out_h; ++oy) {
-          const int64_t iy = oy * cfg.stride - cfg.padding + kh;
-          uint8_t* cols_row = cols + oy * out_w * patch + col;
-          if (iy < 0 || iy >= in_h) {
-            for (int64_t ox = 0; ox < out_w; ++ox) cols_row[ox * patch] = 0;
-            continue;
-          }
-          const float* x_row = x_plane + iy * in_w;
-          for (int64_t ox = 0; ox < out_w; ++ox) {
-            const int64_t ix = ox * cfg.stride - cfg.padding + kw;
-            cols_row[ox * patch] =
-                (ix >= 0 && ix < in_w) ? quantize_u8(x_row[ix], inv_sx) : uint8_t{0};
-          }
+/// Bytes past the end of im2col_bytes' plane and cols buffers that its
+/// word-sized copies may read or write.
+constexpr int64_t kIm2colSlack = 8;
+
+/// Quantize-once im2col for one sample. Quantizes the [in_c, in_h, in_w]
+/// input into `plane`, a u8 copy with a `padding`-wide zero border
+/// (quantize_u8(0) == 0, so the border is the conv's zero padding in the
+/// integer domain), touching each input element once. Then gathers each
+/// output position's patch bytes into row p of `cols`, rows `lda` =
+/// quant_a_stride(patch) bytes apart with zeroed padding: the int8 GEMM's
+/// A layout, which it reads in place.
+void im2col_bytes(const float* x, const Conv2dConfig& cfg, int64_t in_h, int64_t in_w,
+                  int64_t out_h, int64_t out_w, float inv_sx, uint8_t* plane, uint8_t* cols) {
+  // Locals, not cfg reads: the byte stores below may alias anything.
+  const int64_t in_c = cfg.in_channels;
+  const int64_t kernel_h = cfg.kernel_h;
+  const int64_t kernel_w = cfg.kernel_w;
+  const int64_t stride = cfg.stride;
+  const int64_t pad = cfg.padding;
+  const int64_t ph = in_h + 2 * pad;
+  const int64_t pw = in_w + 2 * pad;
+  std::memset(plane, 0, static_cast<size_t>(in_c * ph * pw));
+  for (int64_t c = 0; c < in_c; ++c) {
+    for (int64_t y = 0; y < in_h; ++y) {
+      const float* src = x + (c * in_h + y) * in_w;
+      uint8_t* dst = plane + (c * ph + y + pad) * pw + pad;
+      for (int64_t xx = 0; xx < in_w; ++xx) dst[xx] = quantize_u8(src[xx], inv_sx);
+    }
+  }
+  const int64_t lda = quant_a_stride(in_c * kernel_h * kernel_w);
+  const uint32_t zero = 0;
+  for (int64_t oy = 0; oy < out_h; ++oy) {
+    for (int64_t ox = 0; ox < out_w; ++ox) {
+      uint8_t* row = cols + (oy * out_w + ox) * lda;
+      const uint8_t* window = plane + oy * stride * pw + ox * stride;
+      // Whole words: each copy's overshoot lands where a later store of
+      // this or the next row writes, or in the buffers' kIm2colSlack.
+      for (int64_t c = 0; c < in_c; ++c) {
+        for (int64_t kh = 0; kh < kernel_h; ++kh) {
+          const uint8_t* src = window + (c * ph + kh) * pw;
+          for (int64_t t = 0; t < kernel_w; t += 8) std::memcpy(row + t, src + t, 8);
+          row += kernel_w;
         }
       }
+      std::memcpy(row, &zero, sizeof(zero));  // the < 4 padding bytes
     }
   }
 }
@@ -198,7 +208,8 @@ void QuantizedForward::requantize(QuantLayer& ql) {
   ql.weight_version = wp.version + 1;
 }
 
-Tensor QuantizedForward::forward_quant_dense(const QuantLayer& ql, const Tensor& input) const {
+void QuantizedForward::forward_quant_dense(const QuantLayer& ql, const Tensor& input, Tensor* out,
+                                           Tensor* relu_out) const {
   const auto& dense = static_cast<const Dense&>(*ql.layer);
   const int64_t k = dense.in_features();
   const int64_t n = dense.out_features();
@@ -210,13 +221,18 @@ Tensor QuantizedForward::forward_quant_dense(const QuantLayer& ql, const Tensor&
   auto* a_q = reinterpret_cast<uint8_t*>(scope.floats((batch * k + 3) / 4));
   const float* x = input.data();
   for (int64_t i = 0; i < batch * k; ++i) a_q[i] = quantize_u8(x[i], ql.inv_act_scale);
-  Tensor out({batch, n});
-  const QuantEpilogue epi{ql.dequant_scale, ql.bias, false};
-  gemm_u8s8_dequant(a_q, ql.weight_q.data(), out.data(), batch, n, k, epi, &ql.packed);
-  return out;
+  const QuantEpilogue epi{ql.dequant_scale, ql.bias, out == nullptr};
+  Tensor& dst = out != nullptr ? *out : *relu_out;
+  dst = Tensor({batch, n});
+  gemm_u8s8_dequant(a_q, ql.weight_q.data(), dst.data(), batch, n, k, epi, &ql.packed);
+  if (out != nullptr && relu_out != nullptr) {
+    *relu_out = *out;
+    relu_out->apply([](float v) { return v > 0.0f ? v : 0.0f; });
+  }
 }
 
-Tensor QuantizedForward::forward_quant_conv(const QuantLayer& ql, const Tensor& input) const {
+void QuantizedForward::forward_quant_conv(const QuantLayer& ql, const Tensor& input, Tensor* out,
+                                          Tensor* relu_out) const {
   const auto& conv = static_cast<const Conv2d&>(*ql.layer);
   const Conv2dConfig& cfg = conv.config();
   if (input.rank() != 4 || input.dim(1) != cfg.in_channels) {
@@ -229,59 +245,111 @@ Tensor QuantizedForward::forward_quant_conv(const QuantLayer& ql, const Tensor& 
   const int64_t out_w = conv.out_size(in_w, cfg.kernel_w);
   const int64_t positions = out_h * out_w;
   const int64_t patch = cfg.in_channels * cfg.kernel_h * cfg.kernel_w;
+  const int64_t lda = quant_a_stride(patch);
+  const int64_t plane_bytes =
+      cfg.in_channels * (in_h + 2 * cfg.padding) * (in_w + 2 * cfg.padding);
   const int64_t out_c = cfg.out_channels;
-  Tensor out({batch, out_c, out_h, out_w});
-  const QuantEpilogue epi{ql.dequant_scale, ql.bias, false};
+  if (out != nullptr) *out = Tensor({batch, out_c, out_h, out_w});
+  if (relu_out != nullptr) *relu_out = Tensor({batch, out_c, out_h, out_w});
+  const QuantEpilogue epi{ql.dequant_scale, ql.bias, out == nullptr};
   for (int64_t b = 0; b < batch; ++b) {
     WorkspaceScope scope;
-    auto* cols = reinterpret_cast<uint8_t*>(scope.floats((positions * patch + 3) / 4));
-    im2col_quant(input.data() + b * cfg.in_channels * in_h * in_w, cfg, in_h, in_w, out_h, out_w,
-                 ql.inv_act_scale, cols);
+    auto* plane =
+        reinterpret_cast<uint8_t*>(scope.floats((plane_bytes + kIm2colSlack + 3) / 4));
+    auto* cols =
+        reinterpret_cast<uint8_t*>(scope.floats((positions * lda + kIm2colSlack) / 4));
+    im2col_bytes(input.data() + b * cfg.in_channels * in_h * in_w, cfg, in_h, in_w, out_h, out_w,
+                 ql.inv_act_scale, plane, cols);
     // GEMM result is [positions, out_c]; the output tensor wants
     // [out_c, positions] per sample, so dequantize into scratch and
-    // transpose at the copy.
+    // transpose at the copy, which also fills the ReLU slot when both are
+    // collected.
     float* tmp = scope.floats(positions * out_c);
-    gemm_u8s8_dequant(cols, ql.weight_q.data(), tmp, positions, out_c, patch, epi, &ql.packed);
-    float* dst = out.data() + b * out_c * positions;
-    for (int64_t p = 0; p < positions; ++p) {
-      const float* src = tmp + p * out_c;
-      for (int64_t oc = 0; oc < out_c; ++oc) dst[oc * positions + p] = src[oc];
+    gemm_u8s8_dequant(cols, ql.weight_q.data(), tmp, positions, out_c, patch, epi, &ql.packed,
+                      lda);
+    // Channel-major so the stores are contiguous and the ReLU select
+    // vectorizes (branch-free) instead of branching per element.
+    const int64_t offset = b * out_c * positions;
+    float* dst = (out != nullptr ? out->data() : relu_out->data()) + offset;
+    float* relu_dst = out != nullptr && relu_out != nullptr ? relu_out->data() + offset : nullptr;
+    for (int64_t oc = 0; oc < out_c; ++oc) {
+      const float* src = tmp + oc;
+      float* d = dst + oc * positions;
+      if (relu_dst == nullptr) {
+        for (int64_t p = 0; p < positions; ++p) d[p] = src[p * out_c];
+        continue;
+      }
+      float* r = relu_dst + oc * positions;
+      for (int64_t p = 0; p < positions; ++p) {
+        const float v = src[p * out_c];
+        d[p] = v;
+        r[p] = v > 0.0f ? v : 0.0f;
+      }
     }
   }
-  return out;
+}
+
+void QuantizedForward::forward_quant(const QuantLayer& ql, const Tensor& input, Tensor* out,
+                                     Tensor* relu_out) const {
+  if (ql.is_conv) {
+    forward_quant_conv(ql, input, out, relu_out);
+  } else {
+    forward_quant_dense(ql, input, out, relu_out);
+  }
+}
+
+std::vector<Tensor> QuantizedForward::run(const Tensor& input, bool collect) const {
+  ensure_fresh();
+  // Each layer reads the previous output in place (`x`): collected outputs
+  // are moved into `outputs` (reserved, so `x` stays valid), the others
+  // into `cur`. No activation is copied.
+  std::vector<Tensor> outputs;
+  outputs.reserve(collect ? model_.size() : 1);
+  Tensor cur;
+  const Tensor* x = &input;
+  const auto emit = [&](Tensor&& t) {
+    if (collect) {
+      outputs.push_back(std::move(t));
+      x = &outputs.back();
+    } else {
+      cur = std::move(t);
+      x = &cur;
+    }
+  };
+  for (size_t i = 0; i < model_.size(); ++i) {
+    const int slot = layer_slot_[i];
+    if (slot < 0) {
+      emit(const_cast<Layer&>(model_.layer(i)).forward(*x, Mode::kInfer));
+      continue;
+    }
+    const QuantLayer& ql = layers_[static_cast<size_t>(slot)];
+    // Mirrors Sequential's fused inference: a ReLU right after a Dense /
+    // Conv2d runs in the dequant epilogue. Its v > 0 ? v : 0 (max with 0
+    // in the SIMD stores) is ReLU::forward's expression, so the fused
+    // chain is bit-identical to running the ReLU layer.
+    // forward_collect also keeps the layer's own (pre-ReLU) output.
+    const bool relu_next =
+        i + 1 < model_.size() && model_.layer(i + 1).type_name() == "relu";
+    Tensor out;
+    Tensor relu_out;
+    forward_quant(ql, *x, relu_next && !collect ? nullptr : &out,
+                  relu_next ? &relu_out : nullptr);
+    if (!relu_next || collect) emit(std::move(out));
+    if (relu_next) {
+      emit(std::move(relu_out));
+      ++i;  // the ReLU ran with the layer
+    }
+  }
+  if (!collect) outputs.push_back(x == &input ? input : std::move(cur));
+  return outputs;
 }
 
 Tensor QuantizedForward::forward(const Tensor& input) const {
-  ensure_fresh();
-  Tensor cur = input;
-  for (size_t i = 0; i < model_.size(); ++i) {
-    const int slot = layer_slot_[i];
-    if (slot >= 0) {
-      const QuantLayer& ql = layers_[static_cast<size_t>(slot)];
-      cur = ql.is_conv ? forward_quant_conv(ql, cur) : forward_quant_dense(ql, cur);
-    } else {
-      cur = const_cast<Layer&>(model_.layer(i)).forward(cur, Mode::kInfer);
-    }
-  }
-  return cur;
+  return std::move(run(input, false).back());
 }
 
 std::vector<Tensor> QuantizedForward::forward_collect(const Tensor& input) const {
-  ensure_fresh();
-  std::vector<Tensor> outputs;
-  outputs.reserve(model_.size());
-  Tensor cur = input;
-  for (size_t i = 0; i < model_.size(); ++i) {
-    const int slot = layer_slot_[i];
-    if (slot >= 0) {
-      const QuantLayer& ql = layers_[static_cast<size_t>(slot)];
-      cur = ql.is_conv ? forward_quant_conv(ql, cur) : forward_quant_dense(ql, cur);
-    } else {
-      cur = const_cast<Layer&>(model_.layer(i)).forward(cur, Mode::kInfer);
-    }
-    outputs.push_back(cur);
-  }
-  return outputs;
+  return run(input, true);
 }
 
 }  // namespace salnov::nn

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -33,7 +34,34 @@
 #include "nn/sequential.hpp"
 #include "tensor/gemm_int8.hpp"
 
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
 namespace salnov::nn {
+
+/// x -> clamp(round(x / sx), 0, 127), the activation quantizer, computed
+/// as a multiply by inv_sx = 1/sx so it is one rounded float op per element,
+/// the same everywhere. The clamp happens in the float domain before
+/// rounding, so huge values and +inf saturate to 127; negative values,
+/// -inf and NaN map to 0. q(0) == 0, so conv zero padding stays exact in
+/// the integer domain.
+inline uint8_t quantize_u8(float v, float inv_sx) {
+  const float s = v * inv_sx;
+#if defined(__SSE__)
+  // Branch-free (post-ReLU inputs are ~half zeros, a coin flip for a
+  // branch): maxss returns s only when s > 0, so NaN and negatives become
+  // 0; minss saturates at 127; cvtss2si (the instruction glibc's lrintf
+  // runs) rounds in the current rounding mode, ties to even by default.
+  const __m128 clamped =
+      _mm_min_ss(_mm_max_ss(_mm_set_ss(s), _mm_setzero_ps()), _mm_set_ss(127.0f));
+  return static_cast<uint8_t>(_mm_cvtss_si32(clamped));
+#else
+  if (!(s > 0.0f)) return 0;  // also NaN
+  if (s >= 127.0f) return 127;
+  return static_cast<uint8_t>(std::lrintf(s));
+#endif
+}
 
 /// Per-layer activation scales for a model's quantizable (Dense / Conv2d)
 /// layers, in model order. act_scales[i] = sx maps layer i's input to
@@ -99,8 +127,22 @@ class QuantizedForward {
   void ensure_fresh() const;
   static void requantize(QuantLayer& ql);
 
-  Tensor forward_quant_dense(const QuantLayer& ql, const Tensor& input) const;
-  Tensor forward_quant_conv(const QuantLayer& ql, const Tensor& input) const;
+  /// Runs quantizable layer `ql` on `input`, writing either or both of
+  /// `out` (the layer's own output) and `relu_out` (the output of a ReLU
+  /// following it). With `relu_out` alone the ReLU runs in the dequant
+  /// epilogue; with both, one pass over the dequantized result fills both
+  /// slots.
+  void forward_quant(const QuantLayer& ql, const Tensor& input, Tensor* out,
+                     Tensor* relu_out) const;
+  void forward_quant_dense(const QuantLayer& ql, const Tensor& input, Tensor* out,
+                           Tensor* relu_out) const;
+  void forward_quant_conv(const QuantLayer& ql, const Tensor& input, Tensor* out,
+                          Tensor* relu_out) const;
+
+  /// forward (collect == false) and forward_collect (collect == true): one
+  /// loop, so both fuse a Dense/Conv2d layer with the ReLU after it the
+  /// same way. Without collect the result holds the final output only.
+  std::vector<Tensor> run(const Tensor& input, bool collect) const;
 
   const Sequential& model_;
   QuantScales scales_;

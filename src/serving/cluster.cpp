@@ -170,12 +170,16 @@ void ServingCluster::tick() {
 
 void ServingCluster::pause() { paused_.store(true, std::memory_order_release); }
 
+void ServingCluster::restamp_heartbeats() {
+  for (auto& replica : replicas_) {
+    replica->last_heartbeat_ns.store(clock_->now_ns(), std::memory_order_release);
+  }
+}
+
 void ServingCluster::resume() {
   if (!paused_.exchange(false, std::memory_order_acq_rel)) return;
+  restamp_heartbeats();
   for (auto& replica : replicas_) {
-    // A worker that slept through the pause has a stale heartbeat; re-stamp
-    // so the watchdog's silence check starts from the resume point.
-    replica->last_heartbeat_ns.store(clock_->now_ns(), std::memory_order_release);
     // Notify under the replica lock: a worker that read paused_ == true but
     // has not entered wait() yet still holds mu, so it cannot miss this.
     std::lock_guard<std::mutex> lock(replica->mu);
@@ -184,7 +188,11 @@ void ServingCluster::resume() {
 }
 
 void ServingCluster::drain() {
-  resume();
+  // A paused cluster stays paused through the final watchdog pass: a worker
+  // woken first could seal a batch before stranded frames migrate onto its
+  // queue, making the batch composition depend on thread timing.
+  const bool paused = paused_.load(std::memory_order_acquire);
+  if (paused) restamp_heartbeats();
   {
     // Final watchdog pass before the flush: frames stranded on a replica
     // with an active outage fault must migrate (or fall back inline), not
@@ -211,6 +219,7 @@ void ServingCluster::drain() {
       if (changed) rebalance_locked(now);
     }
   }
+  resume();
   for (auto& replica : replicas_) {
     {
       std::lock_guard<std::mutex> lock(replica->mu);

@@ -144,7 +144,7 @@ class ServingCluster {
   /// Blocks until every submitted frame has been processed (seals partial
   /// batches rather than waiting out their gather windows). Runs a final
   /// watchdog tick first so frames stranded on a faulted replica migrate
-  /// instead of being flushed through it. Implies resume().
+  /// instead of being flushed through it, then resumes a paused cluster.
   void drain();
 
   /// Drains, then stops and joins the workers. Idempotent.
@@ -227,6 +227,10 @@ class ServingCluster {
   void worker_loop(Replica& r);
   void process_batch(Replica& r, std::vector<PendingFrame> batch, SealReason reason,
                      int64_t sealed_ns, int64_t batch_seq);
+
+  /// Stamps every replica's heartbeat with now, so the watchdog's silence
+  /// check starts from a resume point rather than from before a pause.
+  void restamp_heartbeats();
 
   // --- failure domain (all require routing_mu_ unless noted) --------------
 

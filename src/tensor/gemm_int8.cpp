@@ -28,11 +28,11 @@ constexpr int64_t kMinParallelOps = 1 << 15;
 /// inner loop vectorizes over n; skipping zero activations (ReLU outputs)
 /// cannot change the sum.
 void scalar_rows(const uint8_t* a, const int8_t* b, int32_t* c, int64_t row_begin,
-                 int64_t row_end, int64_t n, int64_t k) {
+                 int64_t row_end, int64_t n, int64_t k, int64_t lda) {
   for (int64_t i = row_begin; i < row_end; ++i) {
     int32_t* c_row = c + i * n;
     std::memset(c_row, 0, static_cast<size_t>(n) * sizeof(int32_t));
-    const uint8_t* a_row = a + i * k;
+    const uint8_t* a_row = a + i * lda;
     for (int64_t kk = 0; kk < k; ++kk) {
       const int32_t a_ik = a_row[kk];
       if (a_ik == 0) continue;
@@ -62,16 +62,21 @@ void dequant_rows(const int32_t* c32, float* cf, int64_t row_begin, int64_t row_
   }
 }
 
-void check_dims(int64_t m, int64_t n, int64_t k, const PackedQuantMatrix* packed_b) {
+/// Validates the shape and resolves lda's "0 means k" default.
+int64_t check_dims(int64_t m, int64_t n, int64_t k, int64_t lda,
+                   const PackedQuantMatrix* packed_b) {
   if (m < 0 || n < 0 || k < 0) {
     throw std::invalid_argument("gemm_u8s8: negative dimension");
   }
+  if (lda == 0) lda = k;
+  if (lda < k) throw std::invalid_argument("gemm_u8s8: lda smaller than k");
   if (k > kMaxQuantK) {
     throw std::invalid_argument("gemm_u8s8: k too large for exact int32 accumulation");
   }
   if (packed_b != nullptr && (packed_b->rows != k || packed_b->cols != n)) {
     throw std::logic_error("gemm_u8s8: packed B does not match the [k, n] operand");
   }
+  return lda;
 }
 
 GemmInt8Kernel resolve_kernel_from_env() {
@@ -94,9 +99,9 @@ std::atomic<GemmInt8Kernel>& kernel_state() {
 /// Runs the scalar kernel into c32 (caller-provided full [m, n] buffer) and
 /// optionally dequantizes into cf, fanned out over fixed row bands.
 void scalar_gemm(const uint8_t* a, const int8_t* b, int32_t* c32, float* cf, int64_t m,
-                 int64_t n, int64_t k, const QuantEpilogue* epi) {
+                 int64_t n, int64_t k, int64_t lda, const QuantEpilogue* epi) {
   const auto band = [&](int64_t row_begin, int64_t row_end) {
-    scalar_rows(a, b, c32, row_begin, row_end, n, k);
+    scalar_rows(a, b, c32, row_begin, row_end, n, k, lda);
     if (cf != nullptr) dequant_rows(c32, cf, row_begin, row_end, n, *epi);
   };
   if (m > kRowGrain && m * n * k >= kMinParallelOps) {
@@ -134,24 +139,24 @@ PackedQuantMatrix pack_quant_b(const int8_t* b, int64_t k, int64_t n) {
 }
 
 void gemm_u8s8(const uint8_t* a, const int8_t* b, int32_t* c, int64_t m, int64_t n, int64_t k,
-               const PackedQuantMatrix* packed_b) {
-  check_dims(m, n, k, packed_b);
+               const PackedQuantMatrix* packed_b, int64_t lda) {
+  lda = check_dims(m, n, k, lda, packed_b);
   if (m == 0 || n == 0) return;
   if (k == 0) {
     std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(int32_t));
     return;
   }
   if (active_gemm_int8_kernel() == GemmInt8Kernel::kSimd) {
-    detail::int8_gemm(a, b, c, nullptr, m, n, k, nullptr, packed_b);
+    detail::int8_gemm(a, b, c, nullptr, m, n, k, lda, nullptr, packed_b);
     return;
   }
-  scalar_gemm(a, b, c, nullptr, m, n, k, nullptr);
+  scalar_gemm(a, b, c, nullptr, m, n, k, lda, nullptr);
 }
 
 void gemm_u8s8_dequant(const uint8_t* a, const int8_t* b, float* c, int64_t m, int64_t n,
                        int64_t k, const QuantEpilogue& epilogue,
-                       const PackedQuantMatrix* packed_b) {
-  check_dims(m, n, k, packed_b);
+                       const PackedQuantMatrix* packed_b, int64_t lda) {
+  lda = check_dims(m, n, k, lda, packed_b);
   if (m == 0 || n == 0) return;
   if (k == 0) {
     // Zero accumulators: the epilogue alone defines the output.
@@ -165,13 +170,13 @@ void gemm_u8s8_dequant(const uint8_t* a, const int8_t* b, float* c, int64_t m, i
     return;
   }
   if (active_gemm_int8_kernel() == GemmInt8Kernel::kSimd) {
-    detail::int8_gemm(a, b, nullptr, c, m, n, k, &epilogue, packed_b);
+    detail::int8_gemm(a, b, nullptr, c, m, n, k, lda, &epilogue, packed_b);
     return;
   }
   WorkspaceScope scope;
   // i32 scratch carved from the float arena (same element size).
   int32_t* c32 = reinterpret_cast<int32_t*>(scope.floats(m * n));
-  scalar_gemm(a, b, c32, c, m, n, k, &epilogue);
+  scalar_gemm(a, b, c32, c, m, n, k, lda, &epilogue);
 }
 
 }  // namespace salnov

@@ -67,11 +67,20 @@ struct PackedQuantMatrix {
 /// Packs B (s8, [k, n]) for reuse across gemm calls.
 PackedQuantMatrix pack_quant_b(const int8_t* b, int64_t k, int64_t n);
 
-/// C (i32, [m, n]) = A (u8, [m, k]) x B (s8, [k, n]). Exact. `packed_b`,
-/// when non-null, must be pack_quant_b of the same B (the raw pointer is
-/// still required — the scalar kernel reads it).
+/// Row stride of the A layout the SIMD bands read: k rounded up to whole
+/// 4-byte k-groups. An A operand passed with lda == quant_a_stride(k) is
+/// consumed in place; any other stride is copied into this layout per call.
+/// The padding bytes [k, lda) of each row only ever meet the packed B's
+/// zero padding, so their values never reach the result (they must still
+/// be initialized memory).
+inline constexpr int64_t quant_a_stride(int64_t k) { return (k + 3) / 4 * 4; }
+
+/// C (i32, [m, n]) = A (u8, [m, k], row stride `lda`; 0 means k) x
+/// B (s8, [k, n]). Exact. `packed_b`, when non-null, must be pack_quant_b of
+/// the same B (the raw pointer is still required — the scalar kernel reads
+/// it).
 void gemm_u8s8(const uint8_t* a, const int8_t* b, int32_t* c, int64_t m, int64_t n, int64_t k,
-               const PackedQuantMatrix* packed_b = nullptr);
+               const PackedQuantMatrix* packed_b = nullptr, int64_t lda = 0);
 
 /// C (f32, [m, n]) = dequant(A x B): fmaf(float(acc), scale, bias) (+ ReLU).
 /// The integer accumulation is exact and the dequant store performs the same
@@ -79,6 +88,6 @@ void gemm_u8s8(const uint8_t* a, const int8_t* b, int32_t* c, int64_t m, int64_t
 /// float output is bit-identical across kernels and thread counts too.
 void gemm_u8s8_dequant(const uint8_t* a, const int8_t* b, float* c, int64_t m, int64_t n,
                        int64_t k, const QuantEpilogue& epilogue,
-                       const PackedQuantMatrix* packed_b = nullptr);
+                       const PackedQuantMatrix* packed_b = nullptr, int64_t lda = 0);
 
 }  // namespace salnov

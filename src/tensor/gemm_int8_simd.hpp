@@ -20,13 +20,14 @@ const char* int8_arch_name();
 bool int8_vnni_enabled();
 void set_int8_vnni(bool enabled);
 
-/// C = A x B with exact int32 accumulation. Exactly one of c32 / cf is
-/// non-null: c32 receives raw accumulators, cf receives the dequantized
-/// floats per `epi` (required non-null with cf). `packed_b`, when non-null,
-/// skips the per-call B packing. Dimensions are pre-checked by the
-/// dispatcher (m, n, k >= 1; k <= kMaxQuantK).
+/// C = A x B with exact int32 accumulation, A rows `lda` bytes apart.
+/// Exactly one of c32 / cf is non-null: c32 receives raw accumulators, cf
+/// receives the dequantized floats per `epi` (required non-null with cf).
+/// `packed_b`, when non-null, skips the per-call B packing; A is read in
+/// place when lda == quant_a_stride(k). Dimensions are pre-checked by the
+/// dispatcher (m, n, k >= 1; k <= kMaxQuantK; lda >= k).
 void int8_gemm(const uint8_t* a, const int8_t* b, int32_t* c32, float* cf, int64_t m,
-               int64_t n, int64_t k, const QuantEpilogue* epi,
+               int64_t n, int64_t k, int64_t lda, const QuantEpilogue* epi,
                const PackedQuantMatrix* packed_b);
 
 /// pack_quant_b backend (shared k4-interleaved layout; safe on any CPU).

@@ -6,14 +6,19 @@
 //   * the fused bias/ReLU epilogue is bit-identical to a separate post-pass;
 //   * the transposed accumulate variants match their naive definitions
 //     bit-exactly (both sum k in ascending order);
+//   * every int8 band the CPU supports (scalar, AVX2, AVX-512 VNNI) is
+//     memcmp-equal to the naive int32 reference, narrow and tail columns
+//     included;
 //   * detector scores are exactly invariant to weight pre-packing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/novelty_detector.hpp"
+#include "int8_bands.hpp"
 #include "driving/pilotnet.hpp"
 #include "roadsim/dataset.hpp"
 #include "roadsim/outdoor_generator.hpp"
@@ -264,11 +269,11 @@ TEST(GemmKernels, DetectorScoresExactlyInvariantToWeightPacking) {
 // int8 contracts are strictly tighter than the float ones above: every
 // comparison here is memcmp-strength, SIMD included.
 
-/// Restores the int8 kernel selection when a test scope ends.
-struct Int8KernelGuard {
-  GemmInt8Kernel saved = active_gemm_int8_kernel();
-  ~Int8KernelGuard() { set_gemm_int8_kernel(saved); }
-};
+using test::Int8Band;
+using test::Int8BandGuard;
+using test::int8_band_name;
+using test::int8_bands;
+using test::use_int8_band;
 
 /// Reference u8*s8 -> int32 GEMM: plain integer dot, order-independent.
 std::vector<int32_t> naive_gemm_int8(const uint8_t* a, const int8_t* b, int64_t m, int64_t n,
@@ -296,65 +301,99 @@ struct QuantOperands {
   }
 };
 
-TEST(GemmInt8Kernels, EveryKernelMatchesNaiveInt32Exactly) {
-  // Force each kernel in turn (forced-fallback coverage: the scalar rung
-  // must hold the same exactness contract the SIMD rung is dispatched to).
-  std::vector<GemmInt8Kernel> kernels = {GemmInt8Kernel::kScalar};
-  if (gemm_int8_simd_available()) kernels.push_back(GemmInt8Kernel::kSimd);
-  Int8KernelGuard guard;
-  Rng rng(6);
-  for (GemmInt8Kernel kernel : kernels) {
-    set_gemm_int8_kernel(kernel);
-    for (int64_t m : kSizes) {
-      for (int64_t n : kSizes) {
-        for (int64_t k : kSizes) {
-          QuantOperands ops(rng, m, n, k);
-          const std::vector<int32_t> expected = naive_gemm_int8(ops.a.data(), ops.b.data(), m, n, k);
-          std::vector<int32_t> c(static_cast<size_t>(m * n), 42);
-          gemm_u8s8(ops.a.data(), ops.b.data(), c.data(), m, n, k);
-          ASSERT_EQ(expected, c)
-              << gemm_int8_kernel_name(kernel) << " m=" << m << " n=" << n << " k=" << k;
-        }
-      }
+/// Narrow-column sweep: n in 1..40 covers every residue of n mod 8, 16 and
+/// 32 (the AVX2, VNNI and 32-wide tile widths), and m in 4..7 sends each
+/// through the 4-row loop and 0..3 remainder rows through the 1-row loop.
+template <typename Fn>
+void for_each_narrow_shape(Fn&& fn) {
+  for (int64_t n = 1; n <= 40; ++n) {
+    for (int64_t m = 4; m <= 7; ++m) {
+      for (int64_t k : {1, 6, 35}) fn(m, n, k);
     }
   }
 }
 
-TEST(GemmInt8Kernels, PackedOperandBitIdenticalToUnpacked) {
-  std::vector<GemmInt8Kernel> kernels = {GemmInt8Kernel::kScalar};
-  if (gemm_int8_simd_available()) kernels.push_back(GemmInt8Kernel::kSimd);
-  Int8KernelGuard guard;
-  Rng rng(7);
-  for (GemmInt8Kernel kernel : kernels) {
-    set_gemm_int8_kernel(kernel);
-    for (int64_t m : {1, 5, 31}) {
-      for (int64_t n : {1, 17, 40}) {
-        const int64_t k = 33;
-        QuantOperands ops(rng, m, n, k);
-        std::vector<int32_t> plain(static_cast<size_t>(m * n), 1);
-        gemm_u8s8(ops.a.data(), ops.b.data(), plain.data(), m, n, k);
-        const PackedQuantMatrix pb = pack_quant_b(ops.b.data(), k, n);
-        std::vector<int32_t> packed(static_cast<size_t>(m * n), 2);
-        gemm_u8s8(ops.a.data(), ops.b.data(), packed.data(), m, n, k, &pb);
-        ASSERT_EQ(plain, packed)
-            << gemm_int8_kernel_name(kernel) << " m=" << m << " n=" << n << " k=" << k;
+TEST(GemmInt8Kernels, EveryKernelMatchesNaiveInt32Exactly) {
+  // Force each band in turn (forced-fallback coverage: the scalar rung must
+  // hold the same exactness contract the SIMD bands are dispatched to, and
+  // a VNNI host must still prove its AVX2 band).
+  Int8BandGuard guard;
+  Rng rng(6);
+  for (const Int8Band& band : int8_bands()) {
+    use_int8_band(band);
+    const auto check = [&](int64_t m, int64_t n, int64_t k) {
+      QuantOperands ops(rng, m, n, k);
+      const std::vector<int32_t> expected = naive_gemm_int8(ops.a.data(), ops.b.data(), m, n, k);
+      std::vector<int32_t> c(static_cast<size_t>(m * n), 42);
+      gemm_u8s8(ops.a.data(), ops.b.data(), c.data(), m, n, k);
+      ASSERT_EQ(expected, c) << int8_band_name(band) << " m=" << m << " n=" << n << " k=" << k;
+    };
+    for (int64_t m : kSizes) {
+      for (int64_t n : kSizes) {
+        for (int64_t k : kSizes) check(m, n, k);
       }
     }
+    for_each_narrow_shape(check);
+  }
+}
+
+TEST(GemmInt8Kernels, PackedOperandBitIdenticalToUnpacked) {
+  Int8BandGuard guard;
+  Rng rng(7);
+  for (const Int8Band& band : int8_bands()) {
+    use_int8_band(band);
+    const auto check = [&](int64_t m, int64_t n, int64_t k) {
+      QuantOperands ops(rng, m, n, k);
+      std::vector<int32_t> plain(static_cast<size_t>(m * n), 1);
+      gemm_u8s8(ops.a.data(), ops.b.data(), plain.data(), m, n, k);
+      const PackedQuantMatrix pb = pack_quant_b(ops.b.data(), k, n);
+      std::vector<int32_t> packed(static_cast<size_t>(m * n), 2);
+      gemm_u8s8(ops.a.data(), ops.b.data(), packed.data(), m, n, k, &pb);
+      ASSERT_EQ(plain, packed) << int8_band_name(band) << " m=" << m << " n=" << n << " k=" << k;
+    };
+    for (int64_t m : {1, 5, 31}) {
+      for (int64_t n : {1, 17, 40}) check(m, n, 33);
+    }
+    for_each_narrow_shape(check);
+  }
+}
+
+TEST(GemmInt8Kernels, StridedAOperandMatchesDenseRows) {
+  // A rows at quant_a_stride(k) are read in place; the padding bytes only
+  // meet the packed B's zero padding, so even 0xFF junk there cannot reach
+  // the result. Any other stride goes through the per-call copy.
+  Int8BandGuard guard;
+  Rng rng(9);
+  for (const Int8Band& band : int8_bands()) {
+    use_int8_band(band);
+    for_each_narrow_shape([&](int64_t m, int64_t n, int64_t k) {
+      QuantOperands ops(rng, m, n, k);
+      const std::vector<int32_t> expected = naive_gemm_int8(ops.a.data(), ops.b.data(), m, n, k);
+      const PackedQuantMatrix pb = pack_quant_b(ops.b.data(), k, n);
+      for (const int64_t lda : {quant_a_stride(k), k + 5}) {
+        std::vector<uint8_t> strided(static_cast<size_t>(m * lda), 0xFF);
+        for (int64_t i = 0; i < m; ++i) {
+          std::memcpy(strided.data() + i * lda, ops.a.data() + i * k, static_cast<size_t>(k));
+        }
+        std::vector<int32_t> c(static_cast<size_t>(m * n), 3);
+        gemm_u8s8(strided.data(), ops.b.data(), c.data(), m, n, k, &pb, lda);
+        ASSERT_EQ(expected, c) << int8_band_name(band) << " m=" << m << " n=" << n
+                               << " k=" << k << " lda=" << lda;
+      }
+    });
   }
 }
 
 TEST(GemmInt8Kernels, DequantEpilogueMatchesManualFmafExactly) {
   // The dequant contract is a single correctly-rounded fmaf per element
   // (then ReLU); verify against a manual pass over the int32 product for
-  // every kernel.
-  std::vector<GemmInt8Kernel> kernels = {GemmInt8Kernel::kScalar};
-  if (gemm_int8_simd_available()) kernels.push_back(GemmInt8Kernel::kSimd);
-  Int8KernelGuard guard;
+  // every band, including masked narrow tiles (whose bias loads and float
+  // stores must stop at column n).
+  Int8BandGuard guard;
   Rng rng(8);
-  for (GemmInt8Kernel kernel : kernels) {
-    set_gemm_int8_kernel(kernel);
-    for (bool relu : {false, true}) {
-      const int64_t m = 7, n = 19, k = 41;
+  for (const Int8Band& band : int8_bands()) {
+    use_int8_band(band);
+    const auto check = [&](int64_t m, int64_t n, int64_t k, bool relu) {
       QuantOperands ops(rng, m, n, k);
       std::vector<float> bias(static_cast<size_t>(n));
       for (auto& v : bias) v = static_cast<float>(rng.uniform(-1.0, 1.0));
@@ -377,7 +416,11 @@ TEST(GemmInt8Kernels, DequantEpilogueMatchesManualFmafExactly) {
         }
       }
       ASSERT_EQ(0, std::memcmp(fused.data(), manual.data(), fused.size() * sizeof(float)))
-          << gemm_int8_kernel_name(kernel) << " relu=" << relu;
+          << int8_band_name(band) << " m=" << m << " n=" << n << " k=" << k << " relu=" << relu;
+    };
+    for (bool relu : {false, true}) {
+      check(7, 19, 41, relu);
+      for_each_narrow_shape([&](int64_t m, int64_t n, int64_t k) { check(m, n, k, relu); });
     }
   }
 }
@@ -387,7 +430,7 @@ TEST(GemmInt8Kernels, KernelNamesAvailabilityAndGuards) {
   if (!gemm_int8_simd_available()) {
     EXPECT_THROW(set_gemm_int8_kernel(GemmInt8Kernel::kSimd), std::invalid_argument);
   } else {
-    Int8KernelGuard guard;
+    Int8BandGuard guard;
     set_gemm_int8_kernel(GemmInt8Kernel::kSimd);
     EXPECT_EQ(GemmInt8Kernel::kSimd, active_gemm_int8_kernel());
     set_gemm_int8_kernel(GemmInt8Kernel::kScalar);
@@ -402,6 +445,18 @@ TEST(GemmInt8Kernels, KernelNamesAvailabilityAndGuards) {
   EXPECT_THROW(gemm_u8s8(a.data(), b.data(), c.data(), 1, 1, kMaxQuantK + 1),
                std::invalid_argument);
   EXPECT_THROW(gemm_u8s8(a.data(), b.data(), c.data(), -1, 1, 1), std::invalid_argument);
+  // A row stride shorter than a row would alias rows.
+  std::vector<uint8_t> a2(4);
+  std::vector<int8_t> b2(2);
+  EXPECT_THROW(gemm_u8s8(a2.data(), b2.data(), c.data(), 1, 1, 2, nullptr, 1),
+               std::invalid_argument);
+
+  // The band list names each band once, scalar first.
+  std::vector<std::string> names;
+  for (const Int8Band& band : int8_bands()) names.push_back(int8_band_name(band));
+  ASSERT_FALSE(names.empty());
+  EXPECT_EQ("scalar", names.front());
+  for (size_t i = 1; i < names.size(); ++i) EXPECT_NE(names[i - 1], names[i]);
 }
 
 }  // namespace

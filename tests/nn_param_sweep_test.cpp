@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <tuple>
 
 #include "nn/activations.hpp"
@@ -86,6 +87,11 @@ struct ActivationCase {
   std::unique_ptr<Layer> (*make)();
 };
 
+// Print the case by name: gtest's default byte dump would embed the function
+// pointer, which ASLR moves on every build, so the test names would not be
+// stable.
+void PrintTo(const ActivationCase& c, std::ostream* os) { *os << c.name; }
+
 class ActivationGradientSweep : public ::testing::TestWithParam<ActivationCase> {};
 
 TEST_P(ActivationGradientSweep, AnalyticMatchesNumeric) {
@@ -112,6 +118,8 @@ struct OptimizerCase {
   std::unique_ptr<Optimizer> (*make)();
   int steps;
 };
+
+void PrintTo(const OptimizerCase& c, std::ostream* os) { *os << c.name; }
 
 class OptimizerConvergenceSweep : public ::testing::TestWithParam<OptimizerCase> {};
 

@@ -43,6 +43,7 @@
 #include "core/novelty_detector.hpp"
 #include "driving/pilotnet.hpp"
 #include "driving/steering_trainer.hpp"
+#include "int8_bands.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/quantized.hpp"
@@ -223,14 +224,17 @@ std::vector<Image>* QuantDifferentialFixture::train_ = nullptr;
 
 TEST(QuantGemmKernels, ScalarAndSimdAgreeBitExactOnRandomShapes) {
   if (!gemm_int8_simd_available()) GTEST_SKIP() << "no int8 SIMD on this CPU";
-  Int8KernelGuard guard;
+  // Every SIMD band the CPU supports (AVX2 and, where present, AVX-512
+  // VNNI) against the scalar reference; m in 1..19 hits every residue mod
+  // 4, n in 1..40 every residue mod 8, 16 and 32.
+  test::Int8BandGuard guard;
   prop::Options options;
   options.trials = 60;
   options.seed = 411;
   prop::for_all<std::vector<int64_t>>(
-      "int8 gemm: scalar == simd (exact int32 + fmaf dequant)",
+      "int8 gemm: scalar == every simd band (exact int32 + fmaf dequant)",
       [](Rng& rng) {
-        return std::vector<int64_t>{rng.uniform_int(1, 17), rng.uniform_int(1, 40),
+        return std::vector<int64_t>{rng.uniform_int(1, 19), rng.uniform_int(1, 40),
                                     rng.uniform_int(1, 96), rng.uniform_int(0, 1)};
       },
       [](const std::vector<int64_t>& shape) {
@@ -250,21 +254,24 @@ TEST(QuantGemmKernels, ScalarAndSimdAgreeBitExactOnRandomShapes) {
         const PackedQuantMatrix packed = pack_quant_b(b.data(), k, n);
 
         std::vector<int32_t> c_scalar(static_cast<size_t>(m * n));
-        std::vector<int32_t> c_simd(static_cast<size_t>(m * n));
         std::vector<float> f_scalar(static_cast<size_t>(m * n));
-        std::vector<float> f_simd(static_cast<size_t>(m * n));
         set_gemm_int8_kernel(GemmInt8Kernel::kScalar);
         gemm_u8s8(a.data(), b.data(), c_scalar.data(), m, n, k);
         gemm_u8s8_dequant(a.data(), b.data(), f_scalar.data(), m, n, k, epilogue, &packed);
-        set_gemm_int8_kernel(GemmInt8Kernel::kSimd);
-        gemm_u8s8(a.data(), b.data(), c_simd.data(), m, n, k, &packed);
-        gemm_u8s8_dequant(a.data(), b.data(), f_simd.data(), m, n, k, epilogue, &packed);
-        // memcmp-strength equality: int32 exactly, floats bit-for-bit.
-        return c_scalar == c_simd &&
-               std::equal(f_scalar.begin(), f_scalar.end(), f_simd.begin(),
-                          [](float x, float y) {
-                            return std::memcmp(&x, &y, sizeof(float)) == 0;
-                          });
+        for (const test::Int8Band& band : test::int8_bands()) {
+          if (band.kernel == GemmInt8Kernel::kScalar) continue;
+          test::use_int8_band(band);
+          std::vector<int32_t> c_simd(static_cast<size_t>(m * n));
+          std::vector<float> f_simd(static_cast<size_t>(m * n));
+          gemm_u8s8(a.data(), b.data(), c_simd.data(), m, n, k, &packed);
+          gemm_u8s8_dequant(a.data(), b.data(), f_simd.data(), m, n, k, epilogue, &packed);
+          // memcmp-strength equality: int32 exactly, floats bit-for-bit.
+          if (c_scalar != c_simd ||
+              std::memcmp(f_scalar.data(), f_simd.data(), f_simd.size() * sizeof(float)) != 0) {
+            return false;
+          }
+        }
+        return true;
       },
       options);
 }
