@@ -1,8 +1,9 @@
 #include "core/novelty_detector.hpp"
 
-#include <cstring>
 #include <stdexcept>
+#include <utility>
 
+#include "driving/steering_trainer.hpp"
 #include "metrics/mse.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -152,18 +153,7 @@ ReconstructionScore NoveltyDetector::variant_score_metric(DetectorVariant varian
 }
 
 Image NoveltyDetector::variant_preprocess(DetectorVariant variant, const Image& input) const {
-  const bool saliency = uses_saliency(variant_preprocessing(variant));
-  validate_input(input, saliency);
-  if (!saliency) return input;
-  if (detector_variant_quantized(variant)) {
-    if (quant_steering_ == nullptr || vbp_ == nullptr) {
-      throw std::logic_error("NoveltyDetector: quantized saliency path is not available");
-    }
-    return vbp_->compute_quantized(*quant_steering_, input);
-  }
-  // saliency_ exists since construction, so this const path mutates nothing
-  // of the detector's and is safe under the concurrent batch fan-out.
-  return saliency_->compute(*steering_model_, input);
+  return std::move(variant_preprocess_batch(variant, {&input}).front());
 }
 
 bool NoveltyDetector::batch_parallel_safe() const {
@@ -190,11 +180,8 @@ nn::TrainHistory NoveltyDetector::fit(const std::vector<Image>& training_images,
   });
 
   const int64_t n = static_cast<int64_t>(preprocessed.size());
-  const int64_t dim = config_.height * config_.width;
-  Tensor data({n, dim});
-  for (int64_t i = 0; i < n; ++i) {
-    data.set_slice0(i, preprocessed[static_cast<size_t>(i)].flattened());
-  }
+  const Tensor data = stack_frames(image_views(preprocessed), "NoveltyDetector::fit")
+                          .reshape({n, config_.height * config_.width});
 
   // Stage 2: train the one-class autoencoder to reconstruct its input.
   autoencoder_ = build_autoencoder(config_.autoencoder, rng);
@@ -260,11 +247,7 @@ nn::TrainHistory NoveltyDetector::fit(const std::vector<Image>& training_images,
     // per-layer max of a batch forward equals the max over batch-1 calls.
     ae_quant_scales_ = nn::QuantizedForward::calibrate(autoencoder_, {&data});
     if (saliency_configured && steering_model_ != nullptr) {
-      Tensor steer_data({n, 1, config_.height, config_.width});
-      for (int64_t i = 0; i < n; ++i) {
-        std::memcpy(steer_data.data() + i * dim, training_images[static_cast<size_t>(i)].tensor().data(),
-                    static_cast<size_t>(dim) * sizeof(float));
-      }
+      const Tensor steer_data = stack_frames(image_views(training_images), "NoveltyDetector::fit");
       steering_quant_scales_ = nn::QuantizedForward::calibrate(*steering_model_, {&steer_data});
     }
     rebuild_quant_path();
@@ -291,16 +274,7 @@ nn::TrainHistory NoveltyDetector::fit(const std::vector<Image>& training_images,
 }
 
 Image NoveltyDetector::reconstruct(const Image& preprocessed) const {
-  if (!fitted_) throw std::logic_error("NoveltyDetector: not fitted");
-  const Tensor input = preprocessed.flattened().reshape({1, config_.height * config_.width});
-  // forward() is stateless in inference mode; the const_cast mirrors
-  // Sequential::forward_collect's reasoning.
-  const Tensor output = const_cast<nn::Sequential&>(autoencoder_).forward(input, nn::Mode::kInfer);
-  return Image(config_.height, config_.width, output.reshape({config_.height, config_.width}));
-}
-
-double NoveltyDetector::score_pair(const Image& preprocessed, const Image& reconstruction) const {
-  return variant_score_pair(DetectorVariant::kPrimary, preprocessed, reconstruction);
+  return std::move(reconstruct_batch({&preprocessed}).front());
 }
 
 double NoveltyDetector::variant_score_pair(DetectorVariant variant, const Image& preprocessed,
@@ -312,62 +286,64 @@ double NoveltyDetector::variant_score_pair(DetectorVariant variant, const Image&
 }
 
 std::vector<Image> NoveltyDetector::variant_preprocess_batch(
-    DetectorVariant variant, const std::vector<const Image*>& inputs) const {
+    DetectorVariant variant, const std::vector<const Image*>& inputs,
+    std::vector<double>* steering) const {
   const bool saliency = uses_saliency(variant_preprocessing(variant));
+  const bool q8 = detector_variant_quantized(variant);
   for (const Image* input : inputs) {
     if (input == nullptr) {
       throw std::invalid_argument("variant_preprocess_batch: null input image");
     }
     validate_input(*input, saliency);
   }
-  if (!saliency) {
-    std::vector<Image> out;
+  if (saliency && q8 && (quant_steering_ == nullptr || vbp_ == nullptr)) {
+    throw std::logic_error("NoveltyDetector: quantized saliency path is not available");
+  }
+  if (saliency && vbp_ != nullptr) {
+    // The VBP mask falls out of the steering network's own forward, so the
+    // angles are read from that forward's final activation.
+    Tensor final_activation;
+    std::vector<Image> masks =
+        vbp_->compute_batch(*steering_model_, q8 ? quant_steering_.get() : nullptr, inputs,
+                            steering != nullptr ? &final_activation : nullptr);
+    if (steering != nullptr) {
+      *steering =
+          driving::steering_angles(final_activation, static_cast<int64_t>(inputs.size()));
+    }
+    return masks;
+  }
+  std::vector<Image> out;
+  if (saliency) {
+    // saliency_ exists since construction, so this const path mutates
+    // nothing of the detector's and is safe under the concurrent fan-out.
+    out = saliency_->compute_batch(*steering_model_, inputs);
+  } else {
     out.reserve(inputs.size());
     for (const Image* input : inputs) out.push_back(*input);
-    return out;
   }
-  if (detector_variant_quantized(variant)) {
-    if (quant_steering_ == nullptr || vbp_ == nullptr) {
-      throw std::logic_error("NoveltyDetector: quantized saliency path is not available");
+  if (steering != nullptr) {
+    // Gradient and LRP saliency do not expose their forward, and raw
+    // variants run none: the angles take one steering batch of their own.
+    if (steering_model_ == nullptr) {
+      throw std::logic_error("NoveltyDetector: steering angles require attach_steering_model()");
     }
-    return vbp_->compute_batch_quantized(*quant_steering_, inputs);
+    *steering = q8 && quant_steering_ != nullptr
+                    ? driving::predict_steering_q8_batch(*quant_steering_, inputs)
+                    : driving::predict_steering_batch(*steering_model_, inputs);
   }
-  return saliency_->compute_batch(*steering_model_, inputs);
+  return out;
 }
 
 std::vector<Image> NoveltyDetector::reconstruct_batch(
     const std::vector<const Image*>& preprocessed) const {
-  if (!fitted_) throw std::logic_error("NoveltyDetector: not fitted");
-  if (preprocessed.empty()) return {};
-  const int64_t batch = static_cast<int64_t>(preprocessed.size());
-  const int64_t dim = config_.height * config_.width;
-  Tensor input({batch, dim});
-  for (int64_t n = 0; n < batch; ++n) {
-    const Image* image = preprocessed[static_cast<size_t>(n)];
-    if (image == nullptr) throw std::invalid_argument("reconstruct_batch: null image");
-    if (image->numel() != dim) {
-      throw std::invalid_argument("reconstruct_batch: image size does not match the pipeline");
-    }
-    input.set_slice0(n, image->flattened());
-  }
-  const Tensor output = const_cast<nn::Sequential&>(autoencoder_).forward(input, nn::Mode::kInfer);
-  std::vector<Image> result(preprocessed.size());
-  for (int64_t n = 0; n < batch; ++n) {
-    Tensor row({dim});
-    std::memcpy(row.data(), output.data() + n * dim, static_cast<size_t>(dim) * sizeof(float));
-    result[static_cast<size_t>(n)] =
-        Image(config_.height, config_.width, row.reshape({config_.height, config_.width}));
-  }
-  return result;
+  return variant_reconstruct_batch(DetectorVariant::kPrimary, preprocessed);
 }
 
 std::vector<double> NoveltyDetector::score_batch(DetectorVariant variant,
                                                  const std::vector<const Image*>& inputs) const {
   const std::vector<Image> preprocessed = variant_preprocess_batch(variant, inputs);
-  std::vector<const Image*> views;
-  views.reserve(preprocessed.size());
-  for (const Image& image : preprocessed) views.push_back(&image);
-  const std::vector<Image> reconstructions = variant_reconstruct_batch(variant, views);
+  const std::vector<Image> reconstructions =
+      variant_reconstruct_batch(variant, image_views(preprocessed));
   std::vector<double> scores(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
     scores[i] = variant_score_pair(variant, preprocessed[i], reconstructions[i]);
@@ -377,44 +353,30 @@ std::vector<double> NoveltyDetector::score_batch(DetectorVariant variant,
 
 Image NoveltyDetector::variant_reconstruct(DetectorVariant variant,
                                            const Image& preprocessed) const {
-  if (!detector_variant_quantized(variant)) return reconstruct(preprocessed);
-  if (!fitted_) throw std::logic_error("NoveltyDetector: not fitted");
-  if (quant_ae_ == nullptr) {
-    throw std::logic_error("NoveltyDetector: quantized autoencoder path is not available");
-  }
-  const Tensor input = preprocessed.flattened().reshape({1, config_.height * config_.width});
-  const Tensor output = quant_ae_->forward(input);
-  return Image(config_.height, config_.width, output.reshape({config_.height, config_.width}));
+  return std::move(variant_reconstruct_batch(variant, {&preprocessed}).front());
 }
 
 std::vector<Image> NoveltyDetector::variant_reconstruct_batch(
     DetectorVariant variant, const std::vector<const Image*>& preprocessed) const {
-  if (!detector_variant_quantized(variant)) return reconstruct_batch(preprocessed);
   if (!fitted_) throw std::logic_error("NoveltyDetector: not fitted");
-  if (quant_ae_ == nullptr) {
+  const bool q8 = detector_variant_quantized(variant);
+  if (q8 && quant_ae_ == nullptr) {
     throw std::logic_error("NoveltyDetector: quantized autoencoder path is not available");
   }
   if (preprocessed.empty()) return {};
   const int64_t batch = static_cast<int64_t>(preprocessed.size());
   const int64_t dim = config_.height * config_.width;
-  Tensor input({batch, dim});
-  for (int64_t n = 0; n < batch; ++n) {
-    const Image* image = preprocessed[static_cast<size_t>(n)];
-    if (image == nullptr) throw std::invalid_argument("variant_reconstruct_batch: null image");
-    if (image->numel() != dim) {
-      throw std::invalid_argument("variant_reconstruct_batch: image size does not match the pipeline");
-    }
-    input.set_slice0(n, image->flattened());
+  Tensor input = stack_frames(preprocessed, "variant_reconstruct_batch");
+  if (input.numel() != batch * dim) {
+    throw std::invalid_argument("variant_reconstruct_batch: image size does not match the pipeline");
   }
-  const Tensor output = quant_ae_->forward(input);
-  std::vector<Image> result(preprocessed.size());
-  for (int64_t n = 0; n < batch; ++n) {
-    Tensor row({dim});
-    std::memcpy(row.data(), output.data() + n * dim, static_cast<size_t>(dim) * sizeof(float));
-    result[static_cast<size_t>(n)] =
-        Image(config_.height, config_.width, row.reshape({config_.height, config_.width}));
-  }
-  return result;
+  input = std::move(input).reshape({batch, dim});
+  // forward() is stateless in inference mode; the const_cast mirrors
+  // Sequential::forward_collect's reasoning.
+  const Tensor output =
+      q8 ? quant_ae_->forward(input)
+         : const_cast<nn::Sequential&>(autoencoder_).forward(input, nn::Mode::kInfer);
+  return unstack_frames(output, config_.height, config_.width);
 }
 
 double NoveltyDetector::score(const Image& input) const {
@@ -422,8 +384,7 @@ double NoveltyDetector::score(const Image& input) const {
 }
 
 double NoveltyDetector::score_variant(DetectorVariant variant, const Image& input) const {
-  const Image p = variant_preprocess(variant, input);
-  return variant_score_pair(variant, p, variant_reconstruct(variant, p));
+  return score_batch(variant, {&input}).front();
 }
 
 const VariantCalibration& NoveltyDetector::variant_calibration(DetectorVariant variant) const {

@@ -140,6 +140,10 @@ class NoveltyDetector {
   /// the model must outlive this detector and is not modified).
   void attach_steering_model(nn::Sequential* model);
 
+  /// The attached steering model (nullptr before attach_steering_model());
+  /// serving front ends check that they steer with this very model.
+  const nn::Sequential* steering_model() const { return steering_model_; }
+
   /// Trains the one-class autoencoder on the (preprocessed) training images
   /// and calibrates the novelty threshold on the training-score ECDF.
   /// Returns the autoencoder's per-epoch loss history.
@@ -193,8 +197,8 @@ class NoveltyDetector {
   /// sizes), the float variants are identical to reconstruct().
   Image variant_reconstruct(DetectorVariant variant, const Image& preprocessed) const;
 
-  /// Batched counterpart; element i is bit-identical to
-  /// variant_reconstruct(variant, *preprocessed[i]).
+  /// Batched counterpart, one [B, H*W] forward at the variant's precision;
+  /// element i is bit-identical to variant_reconstruct(variant, *preprocessed[i]).
   std::vector<Image> variant_reconstruct_batch(DetectorVariant variant,
                                                const std::vector<const Image*>& preprocessed) const;
 
@@ -209,13 +213,18 @@ class NoveltyDetector {
   // the corresponding batch-1 call, regardless of batch size or composition.
   // (Conv layers loop per sample; dense GEMM kernels accumulate each output
   // row in the same ascending-k order at any m; packing pads with zeros.)
+  // Each batch-1 entry above is its batched entry at B = 1.
 
   /// Batched preprocessing stage. Element i is bit-identical to
   /// variant_preprocess(variant, *inputs[i]); saliency-backed configurations
   /// share one batched VBP pass. Validates every input (same checks, same
-  /// order, as the batch-1 entry).
+  /// order, as the batch-1 entry). A non-null `steering` receives each
+  /// input's angle as the Supervisor's steer stage computes it on this
+  /// variant's rung; VBP reads it from the forward behind the masks, other
+  /// paths run one predict_steering batch for it.
   std::vector<Image> variant_preprocess_batch(DetectorVariant variant,
-                                              const std::vector<const Image*>& inputs) const;
+                                              const std::vector<const Image*>& inputs,
+                                              std::vector<double>* steering = nullptr) const;
 
   /// Batched autoencoder reconstruction: one [B, H*W] forward. Element i is
   /// bit-identical to reconstruct(*preprocessed[i]).
@@ -260,9 +269,6 @@ class NoveltyDetector {
  private:
   friend class PipelineIo;
 
-  /// Scores a reconstruction against its (preprocessed) input.
-  double score_pair(const Image& preprocessed, const Image& reconstruction) const;
-
   /// Shared entry guard: size check, wiring check, content validation.
   void validate_input(const Image& input, bool needs_saliency) const;
 
@@ -304,7 +310,7 @@ class NoveltyDetector {
   std::unique_ptr<nn::QuantizedForward> quant_ae_;
   std::unique_ptr<nn::QuantizedForward> quant_steering_;
   /// Non-owning view of saliency_ when it is VisualBackProp (the only
-  /// method with a quantized entry); null otherwise.
+  /// method with a quantized path and an exposed forward); null otherwise.
   saliency::VisualBackProp* vbp_ = nullptr;
 
   bool fitted_ = false;

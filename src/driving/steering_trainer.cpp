@@ -1,8 +1,8 @@
 #include "driving/steering_trainer.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -46,64 +46,44 @@ double steering_mae(nn::Sequential& model, const roadsim::DrivingDataset& datase
   return acc / static_cast<double>(dataset.size());
 }
 
+namespace {
+
+/// The one steering path: stack -> forward -> read. `q8` selects the
+/// precision: the int8 view when non-null, the float `model` otherwise.
+std::vector<double> predict_batch(nn::Sequential* model, const nn::QuantizedForward* q8,
+                                  const std::vector<const Image*>& images, const char* who) {
+  if (images.empty()) return {};
+  const Tensor input = stack_frames(images, who);
+  const Tensor out = q8 != nullptr ? q8->forward(input) : model->forward(input, nn::Mode::kInfer);
+  return steering_angles(out, static_cast<int64_t>(images.size()));
+}
+
+}  // namespace
+
 double predict_steering(nn::Sequential& model, const Image& image) {
-  const Tensor out = model.forward(image.as_nchw(), nn::Mode::kInfer);
-  if (out.numel() != 1) throw std::logic_error("predict_steering: model output is not scalar");
-  return out[0];
+  return predict_steering_batch(model, {&image}).front();
 }
 
 std::vector<double> predict_steering_batch(nn::Sequential& model,
                                            const std::vector<const Image*>& images) {
-  if (images.empty()) return {};
-  const int64_t batch = static_cast<int64_t>(images.size());
-  const int64_t h = images[0]->height();
-  const int64_t w = images[0]->width();
-  Tensor input({batch, 1, h, w});
-  for (int64_t n = 0; n < batch; ++n) {
-    const Image& image = *images[static_cast<size_t>(n)];
-    if (image.height() != h || image.width() != w) {
-      throw std::invalid_argument("predict_steering_batch: mixed image sizes in one batch");
-    }
-    std::memcpy(input.data() + n * h * w, image.tensor().data(),
-                static_cast<size_t>(h * w) * sizeof(float));
-  }
-  const Tensor out = model.forward(input, nn::Mode::kInfer);
-  if (out.numel() != batch) {
-    throw std::logic_error("predict_steering_batch: model output is not one scalar per image");
-  }
-  std::vector<double> angles(static_cast<size_t>(batch));
-  for (int64_t n = 0; n < batch; ++n) angles[static_cast<size_t>(n)] = out[n];
-  return angles;
+  return predict_batch(&model, nullptr, images, "predict_steering_batch");
 }
 
 double predict_steering_q8(const nn::QuantizedForward& model, const Image& image) {
-  const Tensor out = model.forward(image.as_nchw());
-  if (out.numel() != 1) throw std::logic_error("predict_steering_q8: model output is not scalar");
-  return out[0];
+  return predict_steering_q8_batch(model, {&image}).front();
 }
 
 std::vector<double> predict_steering_q8_batch(const nn::QuantizedForward& model,
                                               const std::vector<const Image*>& images) {
-  if (images.empty()) return {};
-  const int64_t batch = static_cast<int64_t>(images.size());
-  const int64_t h = images[0]->height();
-  const int64_t w = images[0]->width();
-  Tensor input({batch, 1, h, w});
-  for (int64_t n = 0; n < batch; ++n) {
-    const Image& image = *images[static_cast<size_t>(n)];
-    if (image.height() != h || image.width() != w) {
-      throw std::invalid_argument("predict_steering_q8_batch: mixed image sizes in one batch");
-    }
-    std::memcpy(input.data() + n * h * w, image.tensor().data(),
-                static_cast<size_t>(h * w) * sizeof(float));
+  return predict_batch(nullptr, &model, images, "predict_steering_q8_batch");
+}
+
+std::vector<double> steering_angles(const Tensor& output, int64_t batch) {
+  if (output.numel() != batch) {
+    throw std::logic_error("steering: model output " + shape_to_string(output.shape()) +
+                           " is not one scalar per image (batch " + std::to_string(batch) + ")");
   }
-  const Tensor out = model.forward(input);
-  if (out.numel() != batch) {
-    throw std::logic_error("predict_steering_q8_batch: model output is not one scalar per image");
-  }
-  std::vector<double> angles(static_cast<size_t>(batch));
-  for (int64_t n = 0; n < batch; ++n) angles[static_cast<size_t>(n)] = out[n];
-  return angles;
+  return std::vector<double>(output.data(), output.data() + batch);
 }
 
 }  // namespace salnov::driving

@@ -35,7 +35,8 @@ SteeringTrainResult train_steering_model(nn::Sequential& model,
 /// Mean absolute steering error of the model over a dataset.
 double steering_mae(nn::Sequential& model, const roadsim::DrivingDataset& dataset);
 
-/// Predicts the steering angle for one image.
+/// Predicts the steering angle for one image: predict_steering_batch at
+/// B = 1.
 double predict_steering(nn::Sequential& model, const Image& image);
 
 /// Predicts steering angles for a batch of same-sized images with one fused
@@ -43,7 +44,8 @@ double predict_steering(nn::Sequential& model, const Image& image);
 /// rows independently (per-sample conv loops, per-row GEMM accumulation
 /// chains, elementwise activations), so element i is bit-identical to
 /// predict_steering(model, *images[i]) at any batch size — the serving
-/// cluster's cross-frame micro-batching relies on this.
+/// cluster's cross-frame micro-batching relies on this. Throws
+/// std::invalid_argument for a null element or mixed sizes.
 std::vector<double> predict_steering_batch(nn::Sequential& model,
                                            const std::vector<const Image*>& images);
 
@@ -57,5 +59,11 @@ double predict_steering_q8(const nn::QuantizedForward& model, const Image& image
 /// predict_steering_q8(model, *images[i]).
 std::vector<double> predict_steering_q8_batch(const nn::QuantizedForward& model,
                                               const std::vector<const Image*>& images);
+
+/// Reads the B steering angles out of a steering network's final activation
+/// (one scalar per frame). Shared by the predict entries and by callers that
+/// take the angle from a forward they ran for another purpose, such as the
+/// VisualBackProp forward. Throws std::logic_error on any other shape.
+std::vector<double> steering_angles(const Tensor& output, int64_t batch);
 
 }  // namespace salnov::driving

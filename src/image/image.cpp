@@ -1,7 +1,10 @@
 #include "image/image.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace salnov {
 
@@ -14,7 +17,7 @@ Image::Image(int64_t height, int64_t width, Tensor pixels) : height_(height), wi
     throw std::invalid_argument("Image: tensor has " + std::to_string(pixels.numel()) +
                                 " elements, expected " + std::to_string(height * width));
   }
-  pixels_ = pixels.reshape({height, width});
+  pixels_ = std::move(pixels).reshape({height, width});
 }
 
 float Image::at_clamped(int64_t y, int64_t x) const {
@@ -41,6 +44,50 @@ void Image::normalize_minmax() {
     return;
   }
   pixels_.apply([lo, range](float v) { return (v - lo) / range; });
+}
+
+Tensor stack_frames(const std::vector<const Image*>& frames, const char* who) {
+  if (frames.empty()) throw std::invalid_argument(std::string(who) + ": empty batch");
+  const Image* first = frames.front();
+  if (first == nullptr) throw std::invalid_argument(std::string(who) + ": null frame in batch");
+  const int64_t batch = static_cast<int64_t>(frames.size());
+  const int64_t dim = first->numel();
+  Tensor stacked({batch, 1, first->height(), first->width()});
+  for (int64_t n = 0; n < batch; ++n) {
+    const Image* frame = frames[static_cast<size_t>(n)];
+    if (frame == nullptr) throw std::invalid_argument(std::string(who) + ": null frame in batch");
+    if (!frame->same_size(*first)) {
+      throw std::invalid_argument(std::string(who) + ": mixed image sizes in one batch");
+    }
+    std::memcpy(stacked.data() + n * dim, frame->tensor().data(),
+                static_cast<size_t>(dim) * sizeof(float));
+  }
+  return stacked;
+}
+
+std::vector<Image> unstack_frames(const Tensor& stacked, int64_t height, int64_t width) {
+  const int64_t dim = height * width;
+  if (dim <= 0 || stacked.numel() % dim != 0) {
+    throw std::invalid_argument("unstack_frames: " + shape_to_string(stacked.shape()) +
+                                " does not hold whole " + std::to_string(height) + "x" +
+                                std::to_string(width) + " frames");
+  }
+  const int64_t batch = stacked.numel() / dim;
+  std::vector<Image> frames;
+  frames.reserve(static_cast<size_t>(batch));
+  for (int64_t n = 0; n < batch; ++n) {
+    Tensor pixels({height, width});
+    std::memcpy(pixels.data(), stacked.data() + n * dim, static_cast<size_t>(dim) * sizeof(float));
+    frames.emplace_back(height, width, std::move(pixels));
+  }
+  return frames;
+}
+
+std::vector<const Image*> image_views(const std::vector<Image>& images) {
+  std::vector<const Image*> views;
+  views.reserve(images.size());
+  for (const Image& image : images) views.push_back(&image);
+  return views;
 }
 
 RgbImage::RgbImage(int64_t height, int64_t width)

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -73,6 +74,19 @@ class Image {
   int64_t width_ = 0;
   Tensor pixels_{Shape{0}};
 };
+
+/// Stacks same-sized frames into one [B, 1, H, W] tensor (row-major, so the
+/// same memory as [B, H * W]): the batched input of every network in the
+/// pipeline, so batch-1 is this at B = 1. Throws std::invalid_argument,
+/// prefixed with `who`, for an empty list, a null element or mixed sizes.
+Tensor stack_frames(const std::vector<const Image*>& frames, const char* who);
+
+/// Inverse of stack_frames for a per-frame network output: splits the
+/// B * height * width values of `stacked` into B height x width images.
+std::vector<Image> unstack_frames(const Tensor& stacked, int64_t height, int64_t width);
+
+/// Borrowed pointers to `images`, in order (the batched entries take these).
+std::vector<const Image*> image_views(const std::vector<Image>& images);
 
 /// Three-channel (RGB) float image with values nominally in [0, 1].
 class RgbImage {

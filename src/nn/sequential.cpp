@@ -1,6 +1,7 @@
 #include "nn/sequential.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -56,12 +57,13 @@ Tensor Sequential::forward(const Tensor& input, Mode mode) {
 std::vector<Tensor> Sequential::forward_collect(const Tensor& input) const {
   std::vector<Tensor> activations;
   activations.reserve(layers_.size());
-  Tensor current = input;
   for (const auto& layer : layers_) {
+    // Each layer reads the slot its predecessor just filled (no copies).
     // forward() is non-const on Layer because of training caches; inference
     // mode leaves caches untouched, making this call logically const.
-    current = const_cast<Layer&>(*layer).forward(current, Mode::kInfer);
-    activations.push_back(current);
+    const Tensor& in = activations.empty() ? input : activations.back();
+    Tensor out = const_cast<Layer&>(*layer).forward(in, Mode::kInfer);
+    activations.push_back(std::move(out));
   }
   return activations;
 }

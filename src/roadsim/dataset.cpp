@@ -104,19 +104,12 @@ DrivingDataset DrivingDataset::with_mirrored() const {
 }
 
 Tensor DrivingDataset::images_nchw() const {
-  Tensor out({size(), 1, height_, width_});
-  for (int64_t i = 0; i < size(); ++i) {
-    out.set_slice0(i, images_[static_cast<size_t>(i)].tensor().reshape({1, height_, width_}));
-  }
-  return out;
+  if (images_.empty()) return Tensor({0, 1, height_, width_});
+  return stack_frames(image_views(images_), "DrivingDataset");
 }
 
 Tensor DrivingDataset::images_flat() const {
-  Tensor out({size(), height_ * width_});
-  for (int64_t i = 0; i < size(); ++i) {
-    out.set_slice0(i, images_[static_cast<size_t>(i)].flattened());
-  }
-  return out;
+  return images_nchw().reshape({size(), height_ * width_});
 }
 
 Tensor DrivingDataset::steering_tensor() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "nn/conv2d.hpp"
 #include "parallel/parallel_for.hpp"
@@ -16,7 +17,7 @@ struct ConvStage {
   size_t output_index = 0;  ///< index into forward_collect results (post-ReLU)
 };
 
-std::vector<ConvStage> find_conv_stages(const nn::Sequential& model) {
+std::vector<ConvStage> require_conv_stages(const nn::Sequential& model) {
   std::vector<ConvStage> stages;
   for (size_t i = 0; i < model.size(); ++i) {
     const auto* conv = dynamic_cast<const nn::Conv2d*>(&model.layer(i));
@@ -26,6 +27,9 @@ std::vector<ConvStage> find_conv_stages(const nn::Sequential& model) {
     stage.output_index =
         (i + 1 < model.size() && model.layer(i + 1).type_name() == "relu") ? i + 1 : i;
     stages.push_back(stage);
+  }
+  if (stages.empty()) {
+    throw std::invalid_argument("VisualBackProp: model has no convolutional stages");
   }
   return stages;
 }
@@ -87,8 +91,7 @@ void deconv_ones_into(const float* map, int64_t in_h, int64_t in_w, int64_t kern
 
 /// Walks the averaged maps deep-to-shallow, multiplying each deconvolved
 /// relevance map into the next stage's averaged activation, and returns the
-/// normalized input-resolution mask. Shared by the batch-1 and batched
-/// entries so they cannot drift apart.
+/// normalized input-resolution mask for one sample.
 Image relevance_chain(const std::vector<ConvStage>& stages,
                       const std::vector<Tensor>& averaged_maps, int64_t in_h, int64_t in_w) {
   // The relevance chain ping-pongs between two workspace buffers sized for
@@ -143,107 +146,51 @@ Tensor deconv_ones(const Tensor& map, int64_t kernel_h, int64_t kernel_w, int64_
 }
 
 Image VisualBackProp::compute(nn::Sequential& model, const Image& input) {
-  std::vector<Tensor> averaged_maps;
-  return compute_with_maps(model, input, averaged_maps);
-}
-
-Image VisualBackProp::compute_with_maps(nn::Sequential& model, const Image& input,
-                                        std::vector<Tensor>& averaged_maps) const {
-  const auto stages = find_conv_stages(model);
-  if (stages.empty()) {
-    throw std::invalid_argument("VisualBackProp: model has no convolutional stages");
-  }
-  const auto activations = model.forward_collect(input.as_nchw());
-
-  averaged_maps.clear();
-  averaged_maps.reserve(stages.size());
-  for (const auto& stage : stages) {
-    averaged_maps.push_back(channel_average_sample(activations[stage.output_index], 0));
-  }
-  return relevance_chain(stages, averaged_maps, input.height(), input.width());
-}
-
-Image VisualBackProp::compute_quantized(const nn::QuantizedForward& model,
-                                        const Image& input) const {
-  const auto stages = find_conv_stages(model.model());
-  if (stages.empty()) {
-    throw std::invalid_argument("VisualBackProp: model has no convolutional stages");
-  }
-  const auto activations = model.forward_collect(input.as_nchw());
-  std::vector<Tensor> averaged_maps;
-  averaged_maps.reserve(stages.size());
-  for (const auto& stage : stages) {
-    averaged_maps.push_back(channel_average_sample(activations[stage.output_index], 0));
-  }
-  return relevance_chain(stages, averaged_maps, input.height(), input.width());
-}
-
-std::vector<Image> VisualBackProp::compute_batch_quantized(
-    const nn::QuantizedForward& model, const std::vector<const Image*>& inputs) const {
-  if (inputs.empty()) return {};
-  const auto stages = find_conv_stages(model.model());
-  if (stages.empty()) {
-    throw std::invalid_argument("VisualBackProp: model has no convolutional stages");
-  }
-  const int64_t batch = static_cast<int64_t>(inputs.size());
-  const int64_t h = inputs[0]->height();
-  const int64_t w = inputs[0]->width();
-  Tensor stacked({batch, 1, h, w});
-  for (int64_t n = 0; n < batch; ++n) {
-    const Image& input = *inputs[static_cast<size_t>(n)];
-    if (input.height() != h || input.width() != w) {
-      throw std::invalid_argument("VisualBackProp: mixed image sizes in one batch");
-    }
-    std::memcpy(stacked.data() + n * h * w, input.tensor().data(),
-                static_cast<size_t>(h * w) * sizeof(float));
-  }
-  const auto activations = model.forward_collect(stacked);
-  std::vector<Image> masks(inputs.size());
-  parallel::parallel_for(0, batch, 1, [&](int64_t begin, int64_t end) {
-    for (int64_t n = begin; n < end; ++n) {
-      std::vector<Tensor> averaged_maps;
-      averaged_maps.reserve(stages.size());
-      for (const auto& stage : stages) {
-        averaged_maps.push_back(channel_average_sample(activations[stage.output_index], n));
-      }
-      masks[static_cast<size_t>(n)] = relevance_chain(stages, averaged_maps, h, w);
-    }
-  });
-  return masks;
+  return std::move(compute_batch(model, nullptr, {&input}).front());
 }
 
 std::vector<Image> VisualBackProp::compute_batch(nn::Sequential& model,
                                                  const std::vector<const Image*>& inputs) {
+  return compute_batch(model, nullptr, inputs);
+}
+
+std::vector<Image> VisualBackProp::compute_batch(const nn::Sequential& model,
+                                                 const nn::QuantizedForward* quant,
+                                                 const std::vector<const Image*>& inputs,
+                                                 Tensor* final_activation) const {
   if (inputs.empty()) return {};
-  const auto stages = find_conv_stages(model);
-  if (stages.empty()) {
-    throw std::invalid_argument("VisualBackProp: model has no convolutional stages");
+  require_conv_stages(model);
+  if (quant != nullptr && &quant->model() != &model) {
+    throw std::invalid_argument("VisualBackProp: quantized view of a different model");
   }
-  const int64_t batch = static_cast<int64_t>(inputs.size());
-  const int64_t h = inputs[0]->height();
-  const int64_t w = inputs[0]->width();
-  Tensor stacked({batch, 1, h, w});
-  for (int64_t n = 0; n < batch; ++n) {
-    const Image& input = *inputs[static_cast<size_t>(n)];
-    if (input.height() != h || input.width() != w) {
-      throw std::invalid_argument("VisualBackProp: mixed image sizes in one batch");
-    }
-    std::memcpy(stacked.data() + n * h * w, input.tensor().data(),
-                static_cast<size_t>(h * w) * sizeof(float));
-  }
+  const Tensor stacked = stack_frames(inputs, "VisualBackProp");
   // One forward pass for the whole batch: this is where the batch-B GEMMs
   // replace B batch-1 calls. The activations are shared read-only below.
-  const auto activations = model.forward_collect(stacked);
+  const std::vector<Tensor> activations =
+      quant != nullptr ? quant->forward_collect(stacked) : model.forward_collect(stacked);
+  if (final_activation != nullptr) *final_activation = activations.back();
+  return masks_from_activations(model, activations, stacked.dim(2), stacked.dim(3));
+}
 
-  std::vector<Image> masks(inputs.size());
+std::vector<Image> VisualBackProp::masks_from_activations(
+    const nn::Sequential& model, const std::vector<Tensor>& activations, int64_t height,
+    int64_t width, std::vector<std::vector<Tensor>>* averaged_maps) {
+  const auto stages = require_conv_stages(model);
+  if (activations.size() != model.size()) {
+    throw std::invalid_argument("VisualBackProp: expected one activation per layer");
+  }
+  const int64_t batch = activations.front().dim(0);
+  std::vector<Image> masks(static_cast<size_t>(batch));
+  if (averaged_maps != nullptr) averaged_maps->assign(static_cast<size_t>(batch), {});
   parallel::parallel_for(0, batch, 1, [&](int64_t begin, int64_t end) {
     for (int64_t n = begin; n < end; ++n) {
-      std::vector<Tensor> averaged_maps;
-      averaged_maps.reserve(stages.size());
+      std::vector<Tensor> maps;
+      maps.reserve(stages.size());
       for (const auto& stage : stages) {
-        averaged_maps.push_back(channel_average_sample(activations[stage.output_index], n));
+        maps.push_back(channel_average_sample(activations[stage.output_index], n));
       }
-      masks[static_cast<size_t>(n)] = relevance_chain(stages, averaged_maps, h, w);
+      masks[static_cast<size_t>(n)] = relevance_chain(stages, maps, height, width);
+      if (averaged_maps != nullptr) (*averaged_maps)[static_cast<size_t>(n)] = std::move(maps);
     }
   });
   return masks;

@@ -28,38 +28,37 @@ class VisualBackProp : public SaliencyMethod {
 
   /// Stateless per call: all scratch (the per-stage averaged maps) is local,
   /// so one VisualBackProp instance may serve concurrent compute() calls —
-  /// the detector's parallel scoring fan-out relies on this.
+  /// the detector's parallel scoring fan-out relies on this. Runs
+  /// compute_batch at B = 1.
   Image compute(nn::Sequential& model, const Image& input) override;
 
-  /// Cross-frame batched VBP: one forward_collect over the stacked
-  /// [B, 1, H, W] input (conv layers loop per sample with identical
-  /// im2col + GEMM calls; dense layers accumulate each output row in the
-  /// same ascending-k order at any batch size), then per-sample channel
-  /// averages and deconvolution chains. Element i is bit-identical to
-  /// compute(model, *inputs[i]) for any batch composition. The per-sample
-  /// relevance chains fan out across the worker pool (they are pure and
-  /// write disjoint outputs).
+  /// Cross-frame batched VBP at float precision: compute_batch(model,
+  /// nullptr, inputs).
   std::vector<Image> compute_batch(nn::Sequential& model,
                                    const std::vector<const Image*>& inputs) override;
 
+  /// The one batched VBP pass: one forward_collect over the stacked
+  /// [B, 1, H, W] input, through `quant` (an int8 view of `model`) when it
+  /// is non-null and `model` otherwise, then masks_from_activations. Conv
+  /// layers loop per sample and dense layers accumulate each output row in
+  /// ascending-k order at any batch size, so element i is bit-identical to
+  /// the B = 1 call on *inputs[i]. A non-null `final_activation` receives
+  /// the last activation: a steering network's angles from this forward.
+  std::vector<Image> compute_batch(const nn::Sequential& model, const nn::QuantizedForward* quant,
+                                   const std::vector<const Image*>& inputs,
+                                   Tensor* final_activation = nullptr) const;
+
+  /// The VBP core: turns the activations of one forward_collect (float or
+  /// int8) over a stacked [B, 1, height, width] input into B masks; the
+  /// per-sample relevance chains fan out across the worker pool. A non-null
+  /// `averaged_maps` receives, per sample, each conv stage's channel
+  /// average, shallow to deep (for inspection and tests).
+  static std::vector<Image> masks_from_activations(
+      const nn::Sequential& model, const std::vector<Tensor>& activations, int64_t height,
+      int64_t width, std::vector<std::vector<Tensor>>* averaged_maps = nullptr);
+
   bool thread_safe() const override { return true; }
   std::string name() const override { return "vbp"; }
-
-  /// As compute(), but also returns the averaged (over channels) feature
-  /// map of each conv stage, shallow to deep (for inspection and tests).
-  Image compute_with_maps(nn::Sequential& model, const Image& input,
-                          std::vector<Tensor>& averaged_maps) const;
-
-  /// Int8-quantized VBP: the forward pass runs through the quantized view of
-  /// the steering model (exact-int32 GEMMs, bit-identical at any kernel /
-  /// thread count / batch size); the channel averages and relevance chain
-  /// are the same float code as the float path. Used by the q8 ladder rungs.
-  Image compute_quantized(const nn::QuantizedForward& model, const Image& input) const;
-
-  /// Batched counterpart; element i is bit-identical to
-  /// compute_quantized(model, *inputs[i]) for any batch composition.
-  std::vector<Image> compute_batch_quantized(const nn::QuantizedForward& model,
-                                             const std::vector<const Image*>& inputs) const;
 };
 
 /// Transposed convolution with all-ones weights: scatters each input value

@@ -770,13 +770,14 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
   // on float rungs, some demoted to q8) runs one float sub-batch and one q8
   // sub-batch per stage — never a mixed forward, because the supervisor only
   // trusts provided results whose precision matches the serving rung
-  // (ProvidedCompute::quantized).
+  // (ProvidedCompute::quantized). A frame that gets a mask takes its angle
+  // from the forward behind that mask; only the others join a steer batch.
   struct StageFan {
     std::vector<const Image*> in;
     std::vector<size_t> at;
   };
-  std::array<StageFan, 2> steer_fan;  // [0]=float, [1]=q8
-  std::array<StageFan, 2> sal_fan;
+  std::array<StageFan, 2> steer_fan;  // [0]=float, [1]=q8; frames without a mask
+  std::array<StageFan, 2> sal_fan;    // masks plus their forward's angles
   int64_t prescreen_rejects = 0;
   const bool steer_q8_available = detector_.quant_steering() != nullptr;
   for (size_t i = 0; i < b; ++i) {
@@ -790,13 +791,6 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
     const bool q8 = serving_mode_quantized(slot.supervisor->mode());
     slot.provided.quantized = q8;
     if (withhold) continue;
-    if (steering_model_ != nullptr) {
-      // Mirror the supervisor's rule: a q8 rung steers quantized only when
-      // the quantized steering forward exists.
-      StageFan& fan = steer_fan[q8 && steer_q8_available ? 1 : 0];
-      fan.in.push_back(&batch[i].frame);
-      fan.at.push_back(i);
-    }
     const BreakerState breaker = slot.supervisor->breaker_state();
     const bool want_saliency =
         saliency_configured_ && breaker != BreakerState::kOpen &&
@@ -805,14 +799,21 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
     if (want_saliency) {
       // A half-open probe serves float on success, and a probing stream's
       // mode is below the saliency rungs, so q8 is false there — the mask
-      // precision always matches what the supervisor will consume.
+      // precision always matches what the supervisor will consume. So does
+      // the angle's: a q8 rung implies the quantized steering forward.
       StageFan& fan = sal_fan[q8 ? 1 : 0];
+      fan.in.push_back(&batch[i].frame);
+      fan.at.push_back(i);
+    } else if (steering_model_ != nullptr) {
+      // Mirror the supervisor's rule: a q8 rung steers quantized only when
+      // the quantized steering forward exists.
+      StageFan& fan = steer_fan[q8 && steer_q8_available ? 1 : 0];
       fan.in.push_back(&batch[i].frame);
       fan.at.push_back(i);
     }
   }
 
-  // --- Batched compute: steer, saliency, reconstruct ----------------------
+  // --- Batched compute: steer, saliency (+ its steer), reconstruct ---------
   // Any batched entry that throws simply provides nothing: each supervisor's
   // own stage recomputes (or registers the identical failure) in-line.
   for (int p = 0; p < 2; ++p) {
@@ -832,10 +833,13 @@ void ServingCluster::process_batch(Replica& r, std::vector<PendingFrame> batch,
     const StageFan& fan = sal_fan[static_cast<size_t>(p)];
     if (fan.in.empty()) continue;
     try {
+      std::vector<double> angles;
       std::vector<Image> masks = detector_.variant_preprocess_batch(
-          p == 1 ? core::DetectorVariant::kPrimaryQ8 : core::DetectorVariant::kPrimary, fan.in);
+          p == 1 ? core::DetectorVariant::kPrimaryQ8 : core::DetectorVariant::kPrimary, fan.in,
+          &angles);
       for (size_t k = 0; k < fan.at.size(); ++k) {
         slots[fan.at[k]].provided.saliency_mask = std::move(masks[k]);
+        slots[fan.at[k]].provided.steering = angles[k];
       }
     } catch (const std::exception&) {
     }

@@ -110,7 +110,9 @@ struct ClusterResult {
 class ServingCluster {
  public:
   /// `detector` must be fitted and outlive the cluster; `steering_model`
-  /// follows the same contract as Supervisor's. `clock` may be null (a
+  /// follows the same contract as Supervisor's, whose constructor enforces
+  /// it: the batched VBP forward also yields each saliency frame's angle, so
+  /// the model must be the detector's attached one. `clock` may be null (a
   /// SteadyClock is created) and is shared by every stream's supervisor.
   /// Worker threads start immediately.
   ServingCluster(const core::NoveltyDetector& detector, nn::Sequential* steering_model,

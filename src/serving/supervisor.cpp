@@ -44,6 +44,10 @@ Supervisor::Supervisor(const core::NoveltyDetector& detector, nn::Sequential* st
   if (saliency_configured_ && steering_model_ == nullptr) {
     throw std::invalid_argument("Supervisor: saliency pipeline requires its steering model");
   }
+  if (saliency_configured_ && steering_model_ != detector.steering_model()) {
+    throw std::invalid_argument(
+        "Supervisor: steering model is not the one attached to the detector");
+  }
   if (config_.demote_after_bad_frames < 1 || config_.promote_after_healthy_frames < 1) {
     throw std::invalid_argument("Supervisor: ladder hysteresis counts must be >= 1");
   }

@@ -138,8 +138,10 @@ class Supervisor {
  public:
   /// `detector` must be fitted (all variant calibrations present) and
   /// outlive the supervisor. `steering_model` may be null only when the
-  /// detector's preprocessing does not use saliency; it is also used for
-  /// the steer stage. `clock` may be null (a SteadyClock is created).
+  /// detector's preprocessing does not use saliency; when it does, it must
+  /// be the model attached to the detector (std::invalid_argument
+  /// otherwise). It is also used for the steer stage. `clock` may be null
+  /// (a SteadyClock is created).
   Supervisor(const core::NoveltyDetector& detector, nn::Sequential* steering_model,
              SupervisorConfig config = {}, Clock* clock = nullptr);
 

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/gemm.hpp"
 
@@ -101,7 +102,12 @@ void Tensor::require_same_shape(const Tensor& other, const char* op) const {
   }
 }
 
-Tensor Tensor::reshape(Shape new_shape) const {
+Tensor Tensor::reshape(Shape new_shape) const& {
+  Tensor copy = *this;
+  return std::move(copy).reshape(std::move(new_shape));
+}
+
+Tensor Tensor::reshape(Shape new_shape) && {
   int64_t inferred_at = -1;
   int64_t known = 1;
   for (size_t i = 0; i < new_shape.size(); ++i) {
@@ -126,7 +132,8 @@ Tensor Tensor::reshape(Shape new_shape) const {
     throw std::invalid_argument("Tensor::reshape: " + shape_to_string(shape_) + " -> " +
                                 shape_to_string(new_shape) + " changes element count");
   }
-  return Tensor(std::move(new_shape), data_);
+  shape_ = std::move(new_shape);
+  return std::move(*this);
 }
 
 Tensor Tensor::transposed() const {
@@ -211,17 +218,6 @@ Tensor& Tensor::operator+=(float value) {
 Tensor& Tensor::operator*=(float value) {
   for (float& v : data_) v *= value;
   return *this;
-}
-
-Tensor& Tensor::apply(const std::function<float(float)>& fn) {
-  for (float& v : data_) v = fn(v);
-  return *this;
-}
-
-Tensor Tensor::map(const std::function<float(float)>& fn) const {
-  Tensor out = *this;
-  out.apply(fn);
-  return out;
 }
 
 void Tensor::fill(float value) { std::fill(data_.begin(), data_.end(), value); }

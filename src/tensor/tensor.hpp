@@ -77,8 +77,10 @@ class Tensor {
   // --- Shape manipulation --------------------------------------------------
 
   /// Returns a tensor with the same data and a new shape. One dimension may
-  /// be -1 and is inferred. Throws if element counts cannot match.
-  Tensor reshape(Shape new_shape) const;
+  /// be -1 and is inferred. Throws if element counts cannot match. The
+  /// rvalue overload moves the data instead of copying it.
+  Tensor reshape(Shape new_shape) const&;
+  Tensor reshape(Shape new_shape) &&;
 
   /// Returns the transposed copy of a rank-2 tensor.
   Tensor transposed() const;
@@ -106,10 +108,20 @@ class Tensor {
   friend Tensor operator*(Tensor lhs, float rhs) { return lhs *= rhs; }
   friend Tensor operator*(float lhs, Tensor rhs) { return rhs *= lhs; }
 
-  /// Applies `fn` to every element in place and returns *this.
-  Tensor& apply(const std::function<float(float)>& fn);
+  /// Applies `fn` (float -> float) to every element in place and returns
+  /// *this. A template so the callable inlines into the loop.
+  template <typename Fn>
+  Tensor& apply(Fn&& fn) {
+    for (float& v : data_) v = fn(v);
+    return *this;
+  }
   /// Returns a copy with `fn` applied to every element.
-  Tensor map(const std::function<float(float)>& fn) const;
+  template <typename Fn>
+  Tensor map(Fn&& fn) const {
+    Tensor out = *this;
+    out.apply(fn);
+    return out;
+  }
 
   void fill(float value);
 

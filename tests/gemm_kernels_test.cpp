@@ -60,6 +60,14 @@ std::vector<float> naive_gemm(const float* a, const float* b, int64_t m, int64_t
   return c;
 }
 
+/// Bitwise equality: sizes first, then memcmp only when non-empty (an empty
+/// vector's data() may be null, and memcmp on null is undefined even for
+/// zero bytes).
+bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
 struct Operands {
   Tensor a;
   Tensor b;
@@ -81,7 +89,7 @@ TEST(GemmKernels, ScalarMatchesNaiveBitExactly) {
         const std::vector<float> expected = naive_gemm(ops.a.data(), ops.b.data(), m, n, k);
         std::vector<float> c(static_cast<size_t>(m * n), 42.0f);
         gemm(ops.a.data(), ops.b.data(), c.data(), m, n, k);
-        ASSERT_EQ(0, std::memcmp(c.data(), expected.data(), c.size() * sizeof(float)))
+        ASSERT_TRUE(bits_equal(c, expected))
             << "m=" << m << " n=" << n << " k=" << k;
       }
     }
@@ -128,12 +136,12 @@ TEST(GemmKernels, PackedOperandsBitIdenticalToUnpacked) {
         const PackedMatrix pb = pack_b_panels(ops.b.data(), k, n);
         std::vector<float> both(static_cast<size_t>(m * n), 2.0f);
         gemm_ex(ops.a.data(), ops.b.data(), both.data(), m, n, k, GemmEpilogue{}, &pa, &pb);
-        ASSERT_EQ(0, std::memcmp(both.data(), plain.data(), plain.size() * sizeof(float)))
+        ASSERT_TRUE(bits_equal(both, plain))
             << "packed A+B, m=" << m << " n=" << n << " k=" << k;
 
         std::vector<float> only_b(static_cast<size_t>(m * n), 3.0f);
         gemm_ex(ops.a.data(), ops.b.data(), only_b.data(), m, n, k, GemmEpilogue{}, nullptr, &pb);
-        ASSERT_EQ(0, std::memcmp(only_b.data(), plain.data(), plain.size() * sizeof(float)))
+        ASSERT_TRUE(bits_equal(only_b, plain))
             << "packed B, m=" << m << " n=" << n << " k=" << k;
       }
     }

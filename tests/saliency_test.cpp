@@ -98,10 +98,12 @@ TEST(Vbp, MaskHasInputResolutionAndUnitRange) {
 TEST(Vbp, AveragedMapsMatchStageCount) {
   Rng rng(3);
   nn::Sequential model = tiny_model(rng);
-  VisualBackProp vbp;
-  std::vector<Tensor> maps;
-  vbp.compute_with_maps(model, Image(24, 48), maps);
-  EXPECT_EQ(maps.size(), driving::conv_stage_outputs(model).size());
+  const Image input(24, 48);
+  std::vector<std::vector<Tensor>> maps;
+  VisualBackProp::masks_from_activations(model, model.forward_collect(input.as_nchw()), 24, 48,
+                                         &maps);
+  ASSERT_EQ(maps.size(), 1u);
+  EXPECT_EQ(maps[0].size(), driving::conv_stage_outputs(model).size());
 }
 
 TEST(Vbp, RequiresConvStages) {

@@ -3,8 +3,9 @@
 # and serving-runtime tests — the frame queue, the server's worker /
 # producer / snapshot threads, the multi-stream cluster's replica workers,
 # the replica failure domain (watchdog, fault schedules, failover /
-# chaos suites), and the quantized int8 rungs (thread-count bit-identity
-# plus the int8 GEMM kernels on every band and the q8 conv reference) —
+# chaos suites), the quantized int8 rungs (thread-count bit-identity
+# plus the int8 GEMM kernels on every band and the q8 conv reference), and
+# the fused steering/VBP batches of a mixed-rung cluster —
 # (plus any extra ctest -R pattern passed as $1).
 #
 # Usage:
@@ -17,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-PATTERN="${1:-parallel_test|ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|FrameQueue|ServingFixture.Server|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|QuantGemmKernels|QuantizeU8|QuantConvReference}"
+PATTERN="${1:-parallel_test|ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|FrameQueue|ServingFixture.Server|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|QuantGemmKernels|QuantizeU8|QuantConvReference|FusedCompute}"
 
 cmake -B "$BUILD_DIR" -S . -DSALNOV_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)"
