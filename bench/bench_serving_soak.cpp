@@ -1,4 +1,4 @@
-// Serving-runtime soak: long-haul robustness of the supervisor + server.
+// Serving-runtime soak: long-haul robustness of the supervisor + cluster.
 //
 // Phase A streams frames synchronously through a Supervisor under a fake
 // clock with a deterministic stall schedule — periodic saliency spikes, one
@@ -6,9 +6,10 @@
 // sustained reconstruct stall that walks the ladder all the way to sensor
 // hold. The run asserts the runtime reacted (trip + probe restore, step-downs
 // and promotions, final mode back at the top) and every frame is accounted
-// for. Phase B bursts frames at a ServingServer faster than the worker can
-// drain them, asserting the bounded queue sheds instead of growing and the
-// high-water mark respects the capacity. Phase C drives eight live streams
+// for. Phase B bursts frames at a one-stream ServingCluster faster than its
+// replica can drain them, asserting admission credits shed the oldest frames
+// instead of growing the queue and the pending high-water mark respects the
+// credits. Phase C drives eight live streams
 // at uneven rates through a micro-batching ServingCluster with one stream
 // stalling mid-run, asserting a dead camera never holds other streams'
 // frames past the gather window (no cross-stream head-of-line blocking) and
@@ -40,7 +41,6 @@
 #include "faults/timing_faults.hpp"
 #include "parallel/parallel_for.hpp"
 #include "serving/cluster.hpp"
-#include "serving/server.hpp"
 #include "serving/supervisor.hpp"
 #include "trace/trace.hpp"
 
@@ -65,8 +65,8 @@ int check(bool ok, const char* what) {
 int run(int64_t frames) {
   print_header("Serving soak",
                "Supervisor under a deterministic stall schedule (fake clock), then a burst\n"
-               "through the bounded-queue ServingServer. Asserts the degraded-mode ladder,\n"
-               "breaker, and shedding all engage and recover.");
+               "through a one-stream ServingCluster with admission credits. Asserts the\n"
+               "degraded-mode ladder, breaker, and shedding all engage and recover.");
 
   Env& env = environment();
   DetectorHandle handle = fit_or_load_detector(
@@ -137,27 +137,31 @@ int run(int64_t frames) {
   failures += check(a.promotions >= 2, "ladder climbed back after recovery");
   failures += check(a.mode == serving::ServingMode::kVbpSsim, "soak ends at the top rung");
 
-  // --- Phase B: burst shedding through the bounded queue -------------------
+  // --- Phase B: burst shedding through a one-stream cluster ----------------
+  // Admission credits bound the stream's pending frames; past them the
+  // oldest queued frame is shed. A frame holds its credit until served, so
+  // max_batch stays below the credits: a batch in flight leaves room to
+  // queue the freshest arrivals. Real clock, generous budgets.
   const int64_t burst = frames < 512 ? frames : frames / 8;
-  serving::SupervisorConfig rt_config;  // real clock, generous budgets
-  rt_config.stage_budget_ns.fill(0);    // latency rings only; no degradation
-  rt_config.frame_budget_ns = 0;
-  serving::Supervisor rt_supervisor(detector, steering, rt_config);
-  serving::ServerConfig server_config;
-  server_config.queue_capacity = 16;
-  server_config.keep_results = false;
+  serving::ClusterConfig b_config;
+  b_config.admission_credits = 16;
+  b_config.max_batch = 4;
+  b_config.keep_results = false;
+  b_config.supervisor.stage_budget_ns.fill(0);  // latency rings only; no degradation
+  b_config.supervisor.frame_budget_ns = 0;
 
-  std::printf("\nPhase B: bursting %" PRId64 " frames at a queue of %zu...\n", burst,
-              server_config.queue_capacity);
+  std::printf("\nPhase B: bursting %" PRId64 " frames at one stream with %" PRId64
+              " credits...\n",
+              burst, b_config.admission_credits);
   const auto b_start = std::chrono::steady_clock::now();
   serving::HealthSnapshot b;
   {
-    serving::ServingServer server(rt_supervisor, server_config);
+    serving::ServingCluster b_cluster(detector, steering, b_config);
     for (int64_t i = 0; i < burst; ++i) {
-      server.submit(pool[static_cast<size_t>(i) % pool.size()]);
+      b_cluster.submit(0, pool[static_cast<size_t>(i) % pool.size()]);
     }
-    server.stop();
-    b = server.health();
+    b_cluster.stop();
+    b = b_cluster.stream_health(0);
   }
   const double b_ms = elapsed_ms(b_start);
 

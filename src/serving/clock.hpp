@@ -34,7 +34,7 @@ class SteadyClock final : public Clock {
 };
 
 /// Deterministic test clock: time only moves when something sleeps or the
-/// test advances it. Atomic so the ServingServer's worker thread and a test
+/// test advances it. Atomic so a ServingCluster's replica workers and a test
 /// thread can share it under TSan without a data race.
 class FakeClock final : public Clock {
  public:

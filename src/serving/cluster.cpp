@@ -46,6 +46,7 @@ ServingCluster::ServingCluster(const core::NoveltyDetector& detector,
   pending_per_stream_ =
       std::make_unique<std::atomic<int64_t>[]>(static_cast<size_t>(config_.streams));
   shed_per_stream_.assign(static_cast<size_t>(config_.streams), 0);
+  pending_high_water_.assign(static_cast<size_t>(config_.streams), 0);
 
   // A replica beyond one-per-stream could never receive a frame.
   const int64_t replica_count = std::min(config_.replicas, config_.streams);
@@ -153,7 +154,8 @@ void ServingCluster::submit(int64_t stream_id, Image frame) {
     process_inline_locked(std::move(pending), now, /*was_pending=*/false);
     return;
   }
-  pending_per_stream_[s].fetch_add(1, std::memory_order_acq_rel);
+  const int64_t queued = pending_per_stream_[s].fetch_add(1, std::memory_order_acq_rel) + 1;
+  pending_high_water_[s] = std::max(pending_high_water_[s], queued);
   Replica& replica = *replicas_[static_cast<size_t>(route)];
   {
     std::lock_guard<std::mutex> lock(replica.mu);
@@ -282,6 +284,8 @@ HealthSnapshot ServingCluster::stream_health(int64_t stream_id) const {
   }
   {
     std::lock_guard<std::mutex> lock(routing_mu_);
+    h.queue_capacity = config_.admission_credits;
+    h.queue_high_water = pending_high_water_[static_cast<size_t>(stream_id)];
     h.queue_shed = shed_per_stream_[static_cast<size_t>(stream_id)];
   }
   return h;

@@ -77,10 +77,13 @@ struct ClusterConfig {
   bool keep_results = true;
 
   /// Replica failure detection/recovery; disabled by default (a cluster
-  /// without a watchdog routes statically and never sheds).
+  /// without a watchdog routes statically and never fails over; admission
+  /// credits still shed).
   WatchdogConfig watchdog;
   /// Max pending (queued, unprocessed) frames per stream; past it the
   /// stream's oldest queued frame is shed. 0 disables admission control.
+  /// A one-stream cluster with credits is the bounded drop-oldest queue
+  /// in front of a single camera's Supervisor.
   int64_t admission_credits = 0;
   /// Scheduled replica faults; may be null. Must outlive the cluster.
   const faults::ReplicaFaultSchedule* replica_faults = nullptr;
@@ -160,7 +163,9 @@ class ServingCluster {
   /// failovers, fallbacks, sheds) in decision order.
   std::vector<ClusterEvent> take_events();
 
-  /// One stream's supervisor snapshot. Safe against concurrent processing.
+  /// One stream's supervisor snapshot plus its admission queue: capacity
+  /// (admission_credits), high-water mark of pending frames, and frames
+  /// shed. Safe against concurrent processing.
   HealthSnapshot stream_health(int64_t stream_id) const;
 
   /// Cluster-wide snapshot: counters summed over streams; mode/breaker are
@@ -290,6 +295,7 @@ class ServingCluster {
   std::unique_ptr<ReplicaWatchdog> watchdog_;  ///< null when disabled
   std::vector<int64_t> routing_;               ///< stream -> replica (-1 = inline)
   std::vector<int64_t> shed_per_stream_;
+  std::vector<int64_t> pending_high_water_;  ///< per-stream max of pending_per_stream_
   std::vector<ClusterEvent> events_;
   ClusterStats chaos_stats_;  ///< only the failure-domain counters are used
 
@@ -308,8 +314,8 @@ class ServingCluster {
   std::atomic<bool> paused_{false};
   std::atomic<bool> stopped_{false};
 
-  /// Accepted frames not yet processed; the worker's decrement-to-zero
-  /// notifies idle_cv_ (same idiom as ServingServer).
+  /// Accepted frames not yet processed; every decrement happens under
+  /// idle_mu_ and notifies idle_cv_, so drain() cannot miss the last one.
   std::atomic<int64_t> outstanding_{0};
   mutable std::mutex idle_mu_;
   std::condition_variable idle_cv_;

@@ -132,7 +132,8 @@ struct ClusterStats {
 
 /// Point-in-time view of the serving runtime, exportable as JSON from the
 /// CLI (`salnov_cli serve`). Queue fields are zero for a bare Supervisor
-/// and filled in by ServingServer.
+/// and filled in per stream by ServingCluster::stream_health (capacity is
+/// the cluster's admission_credits).
 struct HealthSnapshot {
   ServingMode mode = ServingMode::kVbpSsim;
   BreakerState breaker_state = BreakerState::kClosed;

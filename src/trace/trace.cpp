@@ -1,5 +1,6 @@
 #include "trace/trace.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -25,12 +26,35 @@ constexpr const char* kTraceMagic = "salnov-trace";
 // credits, replica-fault schedule), the cluster event log, and the
 // cluster-health counters. v5 appends the quantized-ladder flag (the q8
 // serving rungs; per-frame modes widen through the same checked_enum range).
-// save() always writes the current version; load() accepts every version
-// back to kTraceVersionMin (checked-in goldens span v1..v5) and fills newer
-// fields with their feature-off defaults (calibration off, single stream,
-// no watchdog/faults, quant rungs off).
+// save() writes and load() accepts v5 only; a trace in an older format is
+// re-recorded, not read.
 constexpr uint32_t kTraceVersion = 5;
-constexpr uint32_t kTraceVersionMin = 1;
+
+// Plausibility caps on the record counts a trace declares, checked before
+// anything is allocated, so a lying count is a SerializationError rather
+// than a bad_alloc or a huge zero-filled vector.
+constexpr uint32_t kMaxScheduleEntries = 1u << 20;  // stalls, faults, forced swaps
+constexpr int64_t kMaxRecords = int64_t{1} << 24;   // frames, events
+
+/// Reads a u32 schedule-entry count and rejects one above the cap.
+uint32_t read_schedule_count(std::istream& is, const char* what) {
+  const uint32_t n = read_u32(is);
+  if (n > kMaxScheduleEntries) {
+    throw SerializationError(std::string("trace: implausible ") + what + " count " +
+                             std::to_string(n));
+  }
+  return n;
+}
+
+/// Reads an i64 record count and rejects a negative or implausible one.
+int64_t read_record_count(std::istream& is, const char* what) {
+  const int64_t n = read_i64(is);
+  if (n < 0 || n > kMaxRecords) {
+    throw SerializationError(std::string("trace: implausible ") + what + " count " +
+                             std::to_string(n));
+  }
+  return n;
+}
 
 // Frame-record flag bits (TraceFrame bools packed into one u32).
 constexpr uint32_t kFlagScored = 1u << 0;
@@ -38,7 +62,7 @@ constexpr uint32_t kFlagAbandoned = 1u << 1;
 constexpr uint32_t kFlagDeadlineOverrun = 1u << 2;
 constexpr uint32_t kFlagSensorBad = 1u << 3;
 constexpr uint32_t kFlagNovel = 1u << 4;
-constexpr uint32_t kFlagSwapped = 1u << 5;  // v2
+constexpr uint32_t kFlagSwapped = 1u << 5;
 
 uint32_t checked_enum(std::istream& is, uint32_t limit, const char* what) {
   const uint32_t value = read_u32(is);
@@ -410,20 +434,7 @@ void Trace::save(std::ostream& os) const {
 }
 
 Trace Trace::load(std::istream& is) {
-  // Hand-rolled header read (read_header demands one exact version): every
-  // version in [kTraceVersionMin, kTraceVersion] must keep loading so the
-  // checked-in v1 goldens stay replayable.
-  const std::string got_magic = read_string(is);
-  if (got_magic != kTraceMagic) {
-    throw SerializationError("trace: expected magic '" + std::string(kTraceMagic) + "', got '" +
-                             got_magic + "'");
-  }
-  const uint32_t version = read_u32(is);
-  if (version < kTraceVersionMin || version > kTraceVersion) {
-    throw SerializationError("trace: version " + std::to_string(version) + " unsupported (want " +
-                             std::to_string(kTraceVersionMin) + ".." +
-                             std::to_string(kTraceVersion) + ")");
-  }
+  read_header(is, kTraceMagic, kTraceVersion);
   Trace trace;
   TraceRunSpec& spec = trace.spec;
 
@@ -434,8 +445,7 @@ Trace Trace::load(std::istream& is) {
   spec.height = read_i64(is);
   spec.width = read_i64(is);
 
-  const uint32_t n_stalls = read_u32(is);
-  spec.stalls.resize(n_stalls);
+  spec.stalls.resize(read_schedule_count(is, "stall"));
   for (auto& stall : spec.stalls) {
     stall.stage = static_cast<int>(read_i64(is));
     stall.stall_ns = read_i64(is);
@@ -444,8 +454,7 @@ Trace Trace::load(std::istream& is) {
     stall.period = read_i64(is);
   }
 
-  const uint32_t n_camera = read_u32(is);
-  spec.camera_faults.resize(n_camera);
+  spec.camera_faults.resize(read_schedule_count(is, "camera-fault"));
   for (auto& fault : spec.camera_faults) {
     fault.fault = static_cast<faults::CameraFault>(checked_enum(is, 8, "camera fault"));
     fault.severity = read_f64(is);
@@ -468,74 +477,60 @@ Trace Trace::load(std::istream& is) {
   sup.monitor.sensor_release_frames = read_i64(is);
   sup.monitor.detect_frozen_frames = read_u32(is) != 0;
 
-  if (version >= 2) {
-    calib::OnlineCalibrationConfig& cal = sup.calibration;
-    cal.enabled = read_u32(is) != 0;
-    cal.auto_swap = read_u32(is) != 0;
-    cal.percentile = read_f64(is);
-    cal.warmup = read_i64(is);
-    cal.min_samples = read_i64(is);
-    cal.drift_tolerance = read_f64(is);
-    cal.check_every_frames = read_i64(is);
-    cal.trigger_checks = read_i64(is);
-    cal.release_checks = read_i64(is);
-    const uint32_t n_forced = read_u32(is);
-    if (n_forced > (1u << 20)) {
-      throw SerializationError("trace: implausible forced-swap count " + std::to_string(n_forced));
-    }
-    cal.forced_swap_frames.resize(n_forced);
-    for (int64_t& frame : cal.forced_swap_frames) frame = read_i64(is);
-  }  // v1: calibration-off defaults
+  calib::OnlineCalibrationConfig& cal = sup.calibration;
+  cal.enabled = read_u32(is) != 0;
+  cal.auto_swap = read_u32(is) != 0;
+  cal.percentile = read_f64(is);
+  cal.warmup = read_i64(is);
+  cal.min_samples = read_i64(is);
+  cal.drift_tolerance = read_f64(is);
+  cal.check_every_frames = read_i64(is);
+  cal.trigger_checks = read_i64(is);
+  cal.release_checks = read_i64(is);
+  cal.forced_swap_frames.resize(read_schedule_count(is, "forced-swap"));
+  for (int64_t& frame : cal.forced_swap_frames) frame = read_i64(is);
 
-  if (version >= 3) {
-    spec.cluster.streams = read_i64(is);
-    spec.cluster.replicas = read_i64(is);
-    spec.cluster.gather_window_ns = read_i64(is);
-    spec.cluster.max_batch = read_i64(is);
-    spec.cluster.arrival_period_ns = read_i64(is);
-  }  // v1/v2: single-stream defaults
+  spec.cluster.streams = read_i64(is);
+  spec.cluster.replicas = read_i64(is);
+  spec.cluster.gather_window_ns = read_i64(is);
+  spec.cluster.max_batch = read_i64(is);
+  spec.cluster.arrival_period_ns = read_i64(is);
 
-  if (version >= 4) {
-    serving::WatchdogConfig& wd = spec.cluster.watchdog;
-    wd.enabled = read_u32(is) != 0;
-    wd.batch_deadline_ns = read_i64(is);
-    wd.heartbeat_timeout_ns = read_i64(is);
-    wd.missed_deadlines_to_quarantine = read_i64(is);
-    wd.canary_period_ns = read_i64(is);
-    wd.canary_failures_to_quarantine = read_i64(is);
-    wd.probe_backoff_ns = read_i64(is);
-    wd.max_probe_backoff_ns = read_i64(is);
-    wd.max_redispatches = read_i64(is);
-    wd.canary_epsilon = read_f64(is);
-    spec.cluster.admission_credits = read_i64(is);
-    const uint32_t n_replica_faults = read_u32(is);
-    if (n_replica_faults > (1u << 20)) {
-      throw SerializationError("trace: implausible replica-fault count " +
-                               std::to_string(n_replica_faults));
-    }
-    spec.cluster.replica_faults.resize(n_replica_faults);
-    for (auto& fault : spec.cluster.replica_faults) {
-      fault.replica = read_i64(is);
-      fault.kind = static_cast<faults::ReplicaFaultKind>(checked_enum(is, 4, "replica fault"));
-      fault.start_ns = read_i64(is);
-      fault.end_ns = read_i64(is);
-      fault.slow_penalty_ns = read_i64(is);
-      fault.weight_bits = read_i64(is);
-      fault.seed = static_cast<uint64_t>(read_i64(is));
-    }
-  }  // v1..v3: no watchdog, no faults, no admission control
+  serving::WatchdogConfig& wd = spec.cluster.watchdog;
+  wd.enabled = read_u32(is) != 0;
+  wd.batch_deadline_ns = read_i64(is);
+  wd.heartbeat_timeout_ns = read_i64(is);
+  wd.missed_deadlines_to_quarantine = read_i64(is);
+  wd.canary_period_ns = read_i64(is);
+  wd.canary_failures_to_quarantine = read_i64(is);
+  wd.probe_backoff_ns = read_i64(is);
+  wd.max_probe_backoff_ns = read_i64(is);
+  wd.max_redispatches = read_i64(is);
+  wd.canary_epsilon = read_f64(is);
+  spec.cluster.admission_credits = read_i64(is);
+  spec.cluster.replica_faults.resize(read_schedule_count(is, "replica-fault"));
+  for (auto& fault : spec.cluster.replica_faults) {
+    fault.replica = read_i64(is);
+    fault.kind = static_cast<faults::ReplicaFaultKind>(checked_enum(is, 4, "replica fault"));
+    fault.start_ns = read_i64(is);
+    fault.end_ns = read_i64(is);
+    fault.slow_penalty_ns = read_i64(is);
+    fault.weight_bits = read_i64(is);
+    fault.seed = static_cast<uint64_t>(read_i64(is));
+  }
 
-  if (version >= 5) {
-    sup.enable_quant_rungs = read_u32(is) != 0;
-  }  // v1..v4: float ladder only
+  sup.enable_quant_rungs = read_u32(is) != 0;
 
   spec.pipeline_crc = read_u32(is);
   spec.pipeline_bytes = read_i64(is);
 
-  const int64_t n_frames = read_i64(is);
-  if (n_frames < 0) throw SerializationError("trace: negative frame-record count");
-  trace.frames.resize(static_cast<size_t>(n_frames));
-  for (auto& frame : trace.frames) {
+  // Frame and event records grow as they are read: a count that passes the
+  // cap but lies about the payload runs out of bytes before it commits the
+  // memory.
+  const int64_t n_frames = read_record_count(is, "frame-record");
+  trace.frames.reserve(static_cast<size_t>(std::min<int64_t>(n_frames, 4096)));
+  for (int64_t i = 0; i < n_frames; ++i) {
+    TraceFrame& frame = trace.frames.emplace_back();
     frame.frame_index = read_i64(is);
     frame.mode = static_cast<serving::ServingMode>(
         checked_enum(is, serving::kServingModeCount, "serving mode"));
@@ -555,8 +550,8 @@ Trace Trace::load(std::istream& is) {
         checked_enum(is, serving::kServingModeCount, "serving mode"));
     frame.breaker_after =
         static_cast<serving::BreakerState>(checked_enum(is, 3, "breaker state"));
-    if (version >= 2) frame.epoch_after = read_i64(is);
-    if (version >= 3) frame.stream_id = read_i64(is);
+    frame.epoch_after = read_i64(is);
+    frame.stream_id = read_i64(is);
   }
 
   TraceHealth& health = trace.health;
@@ -573,36 +568,30 @@ Trace Trace::load(std::istream& is) {
   health.breaker_trips = read_i64(is);
   health.probe_successes = read_i64(is);
   health.probe_failures = read_i64(is);
-  if (version >= 2) {
-    health.drift_checks = read_i64(is);
-    health.drift_detections = read_i64(is);
-    health.threshold_swaps = read_i64(is);
-    health.threshold_epoch = read_i64(is);
-  }
+  health.drift_checks = read_i64(is);
+  health.drift_detections = read_i64(is);
+  health.threshold_swaps = read_i64(is);
+  health.threshold_epoch = read_i64(is);
 
-  if (version >= 4) {
-    const int64_t n_events = read_i64(is);
-    if (n_events < 0 || n_events > (1 << 24)) {
-      throw SerializationError("trace: implausible event count " + std::to_string(n_events));
-    }
-    trace.events.resize(static_cast<size_t>(n_events));
-    for (auto& event : trace.events) {
-      event.kind = static_cast<serving::ClusterEventKind>(checked_enum(is, 7, "cluster event"));
-      event.at_ns = read_i64(is);
-      event.replica = read_i64(is);
-      event.stream = read_i64(is);
-      event.detail = read_i64(is);
-    }
-    TraceClusterHealth& cluster_health = trace.cluster_health;
-    cluster_health.quarantines = read_i64(is);
-    cluster_health.probe_attempts = read_i64(is);
-    cluster_health.probe_failures = read_i64(is);
-    cluster_health.restores = read_i64(is);
-    cluster_health.failovers = read_i64(is);
-    cluster_health.redispatched_frames = read_i64(is);
-    cluster_health.fallback_frames = read_i64(is);
-    cluster_health.shed_frames = read_i64(is);
-  }  // v1..v3: empty event log, zero counters
+  const int64_t n_events = read_record_count(is, "event");
+  trace.events.reserve(static_cast<size_t>(std::min<int64_t>(n_events, 4096)));
+  for (int64_t i = 0; i < n_events; ++i) {
+    serving::ClusterEvent& event = trace.events.emplace_back();
+    event.kind = static_cast<serving::ClusterEventKind>(checked_enum(is, 7, "cluster event"));
+    event.at_ns = read_i64(is);
+    event.replica = read_i64(is);
+    event.stream = read_i64(is);
+    event.detail = read_i64(is);
+  }
+  TraceClusterHealth& cluster_health = trace.cluster_health;
+  cluster_health.quarantines = read_i64(is);
+  cluster_health.probe_attempts = read_i64(is);
+  cluster_health.probe_failures = read_i64(is);
+  cluster_health.restores = read_i64(is);
+  cluster_health.failovers = read_i64(is);
+  cluster_health.redispatched_frames = read_i64(is);
+  cluster_health.fallback_frames = read_i64(is);
+  cluster_health.shed_frames = read_i64(is);
   return trace;
 }
 

@@ -1,18 +1,26 @@
 // ServingCluster tests: multi-stream routing, cross-frame micro-batching,
 // batch-composition determinism, per-stream policy isolation, and the
 // bit-identity contract — a frame scored inside any batch must produce
-// exactly the result it would have produced through a bare Supervisor.
+// exactly the result it would have produced through a bare Supervisor —
+// plus the one-stream cluster as a single camera's bounded drop-oldest
+// front end.
 //
-// All scenarios run under a FakeClock with pre-staged arrival schedules
-// (pause -> submit -> advance -> resume), so batch composition is a pure
-// function of the scripted timestamps.
+// The batching scenarios run under a FakeClock with pre-staged arrival
+// schedules (pause -> submit -> advance -> resume), so batch composition is
+// a pure function of the scripted timestamps. The one-stream front-end
+// cases submit live (some on the real clock) and assert only what holds
+// under any interleaving: conservation, the queue bound, and policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
+#include <thread>
 #include <vector>
 
+#include "calib/threshold_set.hpp"
 #include "core/novelty_detector.hpp"
 #include "driving/pilotnet.hpp"
 #include "faults/timing_faults.hpp"
@@ -153,12 +161,16 @@ TEST_F(ClusterFixture, StopIsIdempotentAndDropsLateSubmissions) {
   ClusterConfig config;
   config.streams = 1;
   ServingCluster cluster(*detector_, steering_, config, &clock);
+  cluster.pause();
   Rng rng(7);
-  cluster.submit(0, familiar_frame(rng));
-  cluster.stop();
+  for (int i = 0; i < 3; ++i) cluster.submit(0, familiar_frame(rng));
+  cluster.stop();  // returns with all three still queued: it serves them, then joins
+  EXPECT_EQ(cluster.stream_health(0).frames_total, 3);
   cluster.stop();
   cluster.submit(0, familiar_frame(rng));  // dropped, not queued
-  EXPECT_EQ(cluster.stream_health(0).frames_total, 1);
+  const HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total, 3);
+  EXPECT_EQ(health.queue_shed, 0) << "a late submission is dropped, not shed";
 }
 
 // ---------------------------------------------------------------------------
@@ -436,6 +448,166 @@ TEST_F(ClusterFixture, MalformedFramesAreScreenedNotBatched) {
   EXPECT_EQ(stats.prescreen_rejects, 1);
   EXPECT_EQ(cluster.stream_health(0).frames_sensor_bad, 1);
   EXPECT_EQ(cluster.stream_health(0).frames_scored, 2);
+}
+
+// ---------------------------------------------------------------------------
+// One-stream cluster as the asynchronous single-camera front end: admission
+// credits are the bounded drop-oldest queue in front of one Supervisor.
+// Every accepted frame is either served or shed, the pending high-water mark
+// never exceeds the credits, and the supervisor's own policy (breaker,
+// ladder, threshold hot-swap) is unaffected by queue pressure. The
+// concurrent cases also run under TSan (tools/run_tsan.sh).
+
+/// One stream with `credits` (>= 4) admission credits. max_batch 4 is at
+/// most the credits, so batches seal while a burst is still arriving, even
+/// under a FakeClock that only moves when a stage stalls.
+ClusterConfig one_stream_config(int64_t credits, SupervisorConfig supervisor) {
+  ClusterConfig config;
+  config.streams = 1;
+  config.admission_credits = credits;
+  config.max_batch = 4;
+  config.supervisor = std::move(supervisor);
+  return config;
+}
+
+/// Tight 1 ms stage budgets; under a FakeClock an injected stall is the only
+/// way a stage can overrun.
+SupervisorConfig tight_config(const faults::TimingFaultInjector* faults) {
+  SupervisorConfig config;
+  config.stage_budget_ns = {kMs, kMs, kMs, kMs, kMs};
+  config.frame_budget_ns = 1000 * kMs;
+  config.timing_faults = faults;
+  return config;
+}
+
+TEST_F(ClusterFixture, OneStreamServesOrShedsEveryFrame) {
+  ServingCluster cluster(*detector_, steering_, one_stream_config(8, tight_config(nullptr)));
+  Rng rng(63);
+  for (int i = 0; i < 50; ++i) cluster.submit(0, familiar_frame(rng));
+  cluster.drain();
+  const HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total + health.queue_shed, 50);
+  EXPECT_EQ(health.queue_shed, cluster.shed_for_stream(0));
+  EXPECT_GE(health.queue_high_water, 1);
+  EXPECT_LE(health.queue_high_water, 8);
+  EXPECT_EQ(health.queue_capacity, 8);
+  EXPECT_EQ(static_cast<int64_t>(cluster.take_results().size()), health.frames_total);
+  cluster.stop();
+}
+
+TEST_F(ClusterFixture, OneStreamRealClockBurstRespectsCredits) {
+  // Stall every frame's saliency stage on a real clock so the replica is
+  // genuinely slower than the producer; pending frames must cap at the
+  // credits, shed the oldest, and never exceed the bound.
+  faults::TimingFaultInjector faults;
+  faults.add({static_cast<int>(Stage::kSaliency), 2 * kMs, 0,
+              std::numeric_limits<int64_t>::max() - 1, 1});
+  SupervisorConfig supervisor = tight_config(&faults);
+  supervisor.breaker.failure_threshold = 1'000'000;
+  ClusterConfig config = one_stream_config(4, supervisor);
+  config.keep_results = false;
+  ServingCluster cluster(*detector_, steering_, config);
+  Rng rng(65);
+  for (int i = 0; i < 64; ++i) cluster.submit(0, familiar_frame(rng));
+  cluster.drain();
+  const HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total + health.queue_shed, 64);
+  EXPECT_GT(health.frames_total, 0);
+  EXPECT_LE(health.queue_high_water, 4);
+  EXPECT_TRUE(cluster.take_results().empty());
+  cluster.stop();
+}
+
+TEST_F(ClusterFixture, OneStreamProbeDuringQueueBurstRestoresLadder) {
+  // The half-open probe fires while the stream is absorbing a producer
+  // burst: shedding changes which *camera* frames are served, but stalls
+  // key off the supervisor's own frame counter, so the trip -> backoff ->
+  // probe -> restore cycle happens on exactly the same served-frame indices
+  // regardless of queue pressure.
+  faults::TimingFaultInjector faults;
+  faults.add({static_cast<int>(Stage::kSaliency), 10 * kMs, /*first_frame=*/0,
+              /*last_frame=*/1, /*period=*/1});
+  FakeClock clock;
+  SupervisorConfig supervisor = tight_config(&faults);
+  supervisor.breaker.failure_threshold = 2;
+  supervisor.breaker.open_frames = 2;
+  supervisor.promote_after_healthy_frames = 2;
+  ServingCluster cluster(*detector_, steering_, one_stream_config(8, supervisor), &clock);
+  Rng rng(73);
+  for (int i = 0; i < 60; ++i) cluster.submit(0, familiar_frame(rng));
+  cluster.drain();
+  const HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total + health.queue_shed, 60);
+  // However hard the burst sheds, the frames pending at the last shed are
+  // all served, which covers trip (frame 1), backoff (2..3), and the
+  // successful probe that restores the top rung.
+  ASSERT_GE(health.frames_total, 8);
+  EXPECT_LE(health.queue_high_water, 8);
+  EXPECT_EQ(health.breaker_trips, 1);
+  EXPECT_EQ(health.probe_failures, 0);
+  EXPECT_EQ(health.probe_successes, 1);
+  EXPECT_EQ(health.breaker_state, BreakerState::kClosed);
+  EXPECT_EQ(health.mode, ServingMode::kVbpSsim);
+  EXPECT_EQ(static_cast<int64_t>(cluster.take_results().size()), health.frames_total);
+  cluster.stop();
+}
+
+TEST_F(ClusterFixture, OneStreamConcurrentHotSwapNeverBlocksScoring) {
+  // One thread streams frames through the cluster while another repeatedly
+  // installs fresh ThresholdSets on the stream's supervisor and reads health
+  // snapshots. The scorer's acquire is wait-free, so every frame is served
+  // or shed and the served epoch only moves forward.
+  ServingCluster cluster(*detector_, steering_, one_stream_config(16, tight_config(nullptr)));
+
+  constexpr int64_t kInstalls = 200;
+  std::thread installer([&] {
+    for (int64_t epoch = 1; epoch <= kInstalls; ++epoch) {
+      auto set = std::make_shared<calib::ThresholdSet>();
+      set->epoch = epoch;
+      for (int v = 0; v < core::kDetectorVariantCount; ++v) {
+        set->thresholds[static_cast<size_t>(v)] =
+            detector_->variant_calibration(static_cast<core::DetectorVariant>(v)).threshold;
+      }
+      cluster.stream_supervisor(0).install_thresholds(std::move(set));
+      (void)cluster.stream_health(0);
+    }
+  });
+
+  Rng rng(77);
+  for (int i = 0; i < 40; ++i) cluster.submit(0, familiar_frame(rng));
+  installer.join();
+  cluster.drain();
+
+  const HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total + health.queue_shed, 40);
+  EXPECT_EQ(health.threshold_swaps, kInstalls);
+  int64_t last_epoch = 0;
+  for (const ClusterResult& served : cluster.take_results()) {
+    EXPECT_GE(served.result.threshold_epoch, last_epoch) << "served epoch must be monotone";
+    last_epoch = std::max(last_epoch, served.result.threshold_epoch);
+  }
+  cluster.stop();
+}
+
+TEST_F(ClusterFixture, OneStreamConcurrentProducersAndSnapshots) {
+  ServingCluster cluster(*detector_, steering_, one_stream_config(16, tight_config(nullptr)));
+  const auto produce = [&](int seed) {
+    Rng rng(seed);
+    for (int i = 0; i < 25; ++i) cluster.submit(0, familiar_frame(rng));
+  };
+  std::thread a(produce, 67);
+  std::thread b(produce, 69);
+  for (int i = 0; i < 10; ++i) {
+    const HealthSnapshot snapshot = cluster.stream_health(0);  // concurrent snapshots
+    EXPECT_LE(snapshot.queue_high_water, 16);
+  }
+  a.join();
+  b.join();
+  cluster.drain();
+  const HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total + health.queue_shed, 50);
+  EXPECT_LE(health.queue_high_water, 16);
+  cluster.stop();
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 //   * every kernel matches a naive triple-loop reference over a shape grid
 //     that exercises empty dims, the matvec fast path, and tail tiles
 //     (scalar bit-exactly, SIMD within FMA-reassociation tolerance);
+//   * every float SIMD tile the CPU supports (AVX2 or NEON, and AVX-512)
+//     runs the SIMD checks, and the tiles are bit-identical to each other;
 //   * the packed and unpacked SIMD paths are bit-identical;
 //   * the fused bias/ReLU epilogue is bit-identical to a separate post-pass;
 //   * the transposed accumulate variants match their naive definitions
@@ -12,14 +14,16 @@
 //   * detector scores are exactly invariant to weight pre-packing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/novelty_detector.hpp"
-#include "int8_bands.hpp"
 #include "driving/pilotnet.hpp"
+#include "float_tiles.hpp"
+#include "int8_bands.hpp"
 #include "roadsim/dataset.hpp"
 #include "roadsim/outdoor_generator.hpp"
 #include "tensor/gemm.hpp"
@@ -29,6 +33,13 @@
 
 namespace salnov {
 namespace {
+
+using test::FloatTile;
+using test::FloatTileGuard;
+using test::float_tile_name;
+using test::float_tiles;
+using test::simd_float_tiles;
+using test::use_float_tile;
 
 /// Restores kernel selection and the packing switch when a test scope ends.
 struct KernelGuard {
@@ -98,22 +109,25 @@ TEST(GemmKernels, ScalarMatchesNaiveBitExactly) {
 
 TEST(GemmKernels, SimdMatchesNaiveWithinFmaTolerance) {
   if (!gemm_simd_available()) GTEST_SKIP() << "SIMD kernel not available on this CPU";
-  KernelGuard guard;
-  set_gemm_kernel(GemmKernel::kSimd);
+  FloatTileGuard guard;
   Rng rng(2);
-  for (int64_t m : kSizes) {
-    for (int64_t n : kSizes) {
-      for (int64_t k : kSizes) {
-        Operands ops(rng, m, n, k);
-        const std::vector<float> expected = naive_gemm(ops.a.data(), ops.b.data(), m, n, k);
-        std::vector<float> c(static_cast<size_t>(m * n), 42.0f);
-        gemm(ops.a.data(), ops.b.data(), c.data(), m, n, k);
-        // Operands are in [-1, 1], so |c| <= k; FMA only tightens per-term
-        // rounding, leaving reassociation-free ascending sums this close.
-        const float tol = 1e-5f * static_cast<float>(std::max<int64_t>(k, 1)) + 1e-6f;
-        for (int64_t i = 0; i < m * n; ++i) {
-          ASSERT_NEAR(c[static_cast<size_t>(i)], expected[static_cast<size_t>(i)], tol)
-              << "m=" << m << " n=" << n << " k=" << k << " flat=" << i;
+  for (const FloatTile& tile : simd_float_tiles()) {
+    use_float_tile(tile);
+    const std::string name = float_tile_name(tile);
+    for (int64_t m : kSizes) {
+      for (int64_t n : kSizes) {
+        for (int64_t k : kSizes) {
+          Operands ops(rng, m, n, k);
+          const std::vector<float> expected = naive_gemm(ops.a.data(), ops.b.data(), m, n, k);
+          std::vector<float> c(static_cast<size_t>(m * n), 42.0f);
+          gemm(ops.a.data(), ops.b.data(), c.data(), m, n, k);
+          // Operands are in [-1, 1], so |c| <= k; FMA only tightens per-term
+          // rounding, leaving reassociation-free ascending sums this close.
+          const float tol = 1e-5f * static_cast<float>(std::max<int64_t>(k, 1)) + 1e-6f;
+          for (int64_t i = 0; i < m * n; ++i) {
+            ASSERT_NEAR(c[static_cast<size_t>(i)], expected[static_cast<size_t>(i)], tol)
+                << name << " m=" << m << " n=" << n << " k=" << k << " flat=" << i;
+          }
         }
       }
     }
@@ -122,39 +136,110 @@ TEST(GemmKernels, SimdMatchesNaiveWithinFmaTolerance) {
 
 TEST(GemmKernels, PackedOperandsBitIdenticalToUnpacked) {
   if (!gemm_simd_available()) GTEST_SKIP() << "SIMD kernel not available on this CPU";
-  KernelGuard guard;
-  set_gemm_kernel(GemmKernel::kSimd);
+  FloatTileGuard guard;
   Rng rng(3);
-  for (int64_t m : kSizes) {
-    for (int64_t n : kSizes) {
-      for (int64_t k : kSizes) {
-        Operands ops(rng, m, n, k);
-        std::vector<float> plain(static_cast<size_t>(m * n), 1.0f);
-        gemm_ex(ops.a.data(), ops.b.data(), plain.data(), m, n, k, GemmEpilogue{});
+  for (const FloatTile& tile : simd_float_tiles()) {
+    use_float_tile(tile);
+    const std::string name = float_tile_name(tile);
+    for (int64_t m : kSizes) {
+      for (int64_t n : kSizes) {
+        for (int64_t k : kSizes) {
+          Operands ops(rng, m, n, k);
+          std::vector<float> plain(static_cast<size_t>(m * n), 1.0f);
+          gemm_ex(ops.a.data(), ops.b.data(), plain.data(), m, n, k, GemmEpilogue{});
 
-        const PackedMatrix pa = pack_a_panels(ops.a.data(), m, k);
-        const PackedMatrix pb = pack_b_panels(ops.b.data(), k, n);
-        std::vector<float> both(static_cast<size_t>(m * n), 2.0f);
-        gemm_ex(ops.a.data(), ops.b.data(), both.data(), m, n, k, GemmEpilogue{}, &pa, &pb);
-        ASSERT_TRUE(bits_equal(both, plain))
-            << "packed A+B, m=" << m << " n=" << n << " k=" << k;
+          const PackedMatrix pa = pack_a_panels(ops.a.data(), m, k);
+          const PackedMatrix pb = pack_b_panels(ops.b.data(), k, n);
+          std::vector<float> both(static_cast<size_t>(m * n), 2.0f);
+          gemm_ex(ops.a.data(), ops.b.data(), both.data(), m, n, k, GemmEpilogue{}, &pa, &pb);
+          ASSERT_TRUE(bits_equal(both, plain))
+              << name << " packed A+B, m=" << m << " n=" << n << " k=" << k;
 
-        std::vector<float> only_b(static_cast<size_t>(m * n), 3.0f);
-        gemm_ex(ops.a.data(), ops.b.data(), only_b.data(), m, n, k, GemmEpilogue{}, nullptr, &pb);
-        ASSERT_TRUE(bits_equal(only_b, plain))
-            << "packed B, m=" << m << " n=" << n << " k=" << k;
+          std::vector<float> only_b(static_cast<size_t>(m * n), 3.0f);
+          gemm_ex(ops.a.data(), ops.b.data(), only_b.data(), m, n, k, GemmEpilogue{}, nullptr,
+                  &pb);
+          ASSERT_TRUE(bits_equal(only_b, plain))
+              << name << " packed B, m=" << m << " n=" << n << " k=" << k;
+        }
       }
     }
   }
 }
 
+TEST(GemmKernels, SimdTilesBitIdenticalToEachOther) {
+  // The AVX-512 tile is an implementation detail of GemmKernel::kSimd: same
+  // packed layout, same ascending-k FMA chain per element, same epilogue
+  // order. Every SIMD tile must therefore produce the first one's bits,
+  // with and without packed operands and the fused epilogue.
+  const std::vector<FloatTile> tiles = simd_float_tiles();
+  if (tiles.size() < 2) GTEST_SKIP() << "fewer than two SIMD tiles on this CPU";
+  FloatTileGuard guard;
+  Rng rng(6);
+  for (int64_t m : kSizes) {
+    for (int64_t n : kSizes) {
+      for (int64_t k : kSizes) {
+        Operands ops(rng, m, n, k);
+        const Tensor bias_row = rng.uniform_tensor({m + 1}, -1.0, 1.0);
+        const Tensor bias_col = rng.uniform_tensor({n + 1}, -1.0, 1.0);
+        GemmEpilogue epilogue;
+        epilogue.bias_row = bias_row.data();
+        epilogue.bias_col = bias_col.data();
+        epilogue.relu = true;
+        const PackedMatrix pa = pack_a_panels(ops.a.data(), m, k);
+        const PackedMatrix pb = pack_b_panels(ops.b.data(), k, n);
+        const auto run = [&](const FloatTile& tile, bool packed, bool fused) {
+          use_float_tile(tile);
+          std::vector<float> c(static_cast<size_t>(m * n), 7.0f);
+          gemm_ex(ops.a.data(), ops.b.data(), c.data(), m, n, k,
+                  fused ? epilogue : GemmEpilogue{}, packed ? &pa : nullptr,
+                  packed ? &pb : nullptr);
+          return c;
+        };
+        for (bool packed : {false, true}) {
+          for (bool fused : {false, true}) {
+            const std::vector<float> reference = run(tiles[0], packed, fused);
+            for (size_t t = 1; t < tiles.size(); ++t) {
+              ASSERT_TRUE(bits_equal(run(tiles[t], packed, fused), reference))
+                  << float_tile_name(tiles[t]) << " vs " << float_tile_name(tiles[0])
+                  << " packed=" << packed << " fused=" << fused << " m=" << m << " n=" << n
+                  << " k=" << k;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmKernels, FloatTileListCoversEveryTileThisCpuRuns) {
+  FloatTileGuard guard;
+  const GemmKernel ambient_kernel = active_gemm_kernel();
+  const bool ambient_avx512 = detail::gemm_avx512_tile_enabled();
+  std::vector<std::string> names;
+  for (const FloatTile& tile : float_tiles()) names.push_back(float_tile_name(tile));
+  // Naming a tile switches to it and back.
+  EXPECT_EQ(active_gemm_kernel(), ambient_kernel);
+  EXPECT_EQ(detail::gemm_avx512_tile_enabled(), ambient_avx512);
+
+  ASSERT_FALSE(names.empty());
+  EXPECT_EQ(names[0], "scalar");
+  const auto listed = [&](const char* name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  if (gemm_simd_available()) {
+    EXPECT_TRUE(listed("avx2") || listed("neon"));
+  }
+  EXPECT_EQ(listed("avx512"), detail::gemm_avx512_available());
+  EXPECT_EQ(names.size(), 1u + (gemm_simd_available() ? 1u : 0u) +
+                              (detail::gemm_avx512_available() ? 1u : 0u));
+}
+
 TEST(GemmKernels, FusedEpilogueBitIdenticalToPostPass) {
-  std::vector<GemmKernel> kernels = {GemmKernel::kScalar};
-  if (gemm_simd_available()) kernels.push_back(GemmKernel::kSimd);
-  KernelGuard guard;
+  FloatTileGuard guard;
   Rng rng(4);
-  for (GemmKernel kernel : kernels) {
-    set_gemm_kernel(kernel);
+  for (const FloatTile& tile : float_tiles()) {
+    use_float_tile(tile);
+    const std::string name = float_tile_name(tile);
     for (int64_t m : {1, 5, 24, 64}) {
       for (int64_t n : {1, 17, 48}) {
         const int64_t k = 33;
@@ -182,7 +267,7 @@ TEST(GemmKernels, FusedEpilogueBitIdenticalToPostPass) {
           }
         }
         ASSERT_EQ(0, std::memcmp(fused.data(), manual.data(), fused.size() * sizeof(float)))
-            << gemm_kernel_name(kernel) << " m=" << m << " n=" << n;
+            << name << " m=" << m << " n=" << n;
       }
     }
   }
@@ -261,14 +346,24 @@ TEST(GemmKernels, DetectorScoresExactlyInvariantToWeightPacking) {
   Rng fit_rng(7);
   detector.fit(train.images(), fit_rng);
 
-  set_gemm_weight_packing(false);
-  const std::vector<double> unpacked = detector.scores(probe.images());
-  set_gemm_weight_packing(true);
-  const std::vector<double> packed = detector.scores(probe.images());
+  // Every SIMD tile scores the same bits, packed or not.
+  FloatTileGuard tile_guard;
+  std::vector<double> reference;
+  for (const FloatTile& tile : simd_float_tiles()) {
+    use_float_tile(tile);
+    const std::string name = float_tile_name(tile);
+    set_gemm_weight_packing(false);
+    const std::vector<double> unpacked = detector.scores(probe.images());
+    set_gemm_weight_packing(true);
+    const std::vector<double> packed = detector.scores(probe.images());
 
-  ASSERT_EQ(unpacked.size(), packed.size());
-  for (size_t i = 0; i < unpacked.size(); ++i) {
-    EXPECT_EQ(unpacked[i], packed[i]) << "score " << i << " changed under weight packing";
+    ASSERT_EQ(unpacked.size(), packed.size());
+    for (size_t i = 0; i < unpacked.size(); ++i) {
+      EXPECT_EQ(unpacked[i], packed[i])
+          << name << " score " << i << " changed under weight packing";
+    }
+    if (reference.empty()) reference = packed;
+    EXPECT_EQ(packed, reference) << name << " scores differ from the first SIMD tile's";
   }
 }
 

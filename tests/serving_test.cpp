@@ -1,5 +1,6 @@
 // Serving-runtime tests: deadline watchdog, degraded-mode ladder, circuit
-// breaker, bounded queue, and health accounting.
+// breaker, and health accounting. The asynchronous queue in front of a
+// Supervisor is a one-stream ServingCluster (see cluster_test).
 //
 // Every timing scenario runs under a FakeClock with a deterministic
 // TimingFaultInjector: injected stalls are the ONLY thing that advances
@@ -8,24 +9,17 @@
 // machine, loaded or not.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "calib/threshold_set.hpp"
 #include "core/novelty_detector.hpp"
 #include "driving/pilotnet.hpp"
 #include "faults/timing_faults.hpp"
 #include "serving/circuit_breaker.hpp"
 #include "serving/clock.hpp"
-#include "serving/frame_queue.hpp"
 #include "serving/health.hpp"
-#include "serving/server.hpp"
 #include "serving/supervisor.hpp"
 
 namespace salnov::serving {
@@ -234,39 +228,6 @@ TEST(CircuitBreakerTest, HalfOpenHoldsUntilAProbeResultArrives) {
   breaker.record_success();
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   EXPECT_EQ(breaker.probe_successes(), 1);
-}
-
-TEST(FrameQueueTest, ShedsOldestWhenFull) {
-  FrameQueue queue(3);
-  for (int64_t id = 0; id < 5; ++id) {
-    QueuedFrame item;
-    item.id = id;
-    item.frame = Image(2, 2);
-    const FrameQueue::PushResult result = queue.push(std::move(item));
-    EXPECT_TRUE(result.accepted);
-    EXPECT_EQ(result.shed, id < 3 ? 0u : 1u);
-  }
-  EXPECT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue.high_water_mark(), 3u);
-  EXPECT_EQ(queue.shed_total(), 2);
-  QueuedFrame out;
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out.id, 2) << "frames 0 and 1 were shed; the freshest survive";
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out.id, 3);
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(out.id, 4);
-  EXPECT_FALSE(queue.try_pop(out));
-}
-
-TEST(FrameQueueTest, CloseUnblocksAndRejects) {
-  FrameQueue queue(2);
-  queue.close();
-  QueuedFrame item;
-  item.frame = Image(2, 2);
-  EXPECT_FALSE(queue.push(std::move(item)).accepted);
-  QueuedFrame out;
-  EXPECT_FALSE(queue.pop_wait(out));
 }
 
 TEST(LatencyRingTest, NearestRankPercentiles) {
@@ -547,54 +508,6 @@ TEST_F(ServingFixture, IdenticalSchedulesProduceIdenticalHealth) {
   EXPECT_EQ(run(), run());
 }
 
-// ---------------------------------------------------------------------------
-// ServingServer: queue + worker thread. These also run under TSan (see
-// tools/run_tsan.sh).
-
-TEST_F(ServingFixture, ServerProcessesEverythingItAccepts) {
-  Supervisor supervisor(*detector_, steering_, tight_config(nullptr));
-  ServerConfig server_config;
-  server_config.queue_capacity = 8;
-  ServingServer server(supervisor, server_config);
-  Rng rng(63);
-  int64_t shed = 0;
-  for (int i = 0; i < 50; ++i) shed += static_cast<int64_t>(server.submit(familiar_frame(rng)));
-  server.drain();
-  const HealthSnapshot health = server.health();
-  EXPECT_EQ(health.frames_total + shed, 50);
-  EXPECT_EQ(health.queue_shed, shed);
-  EXPECT_LE(health.queue_high_water, 8);
-  EXPECT_EQ(health.queue_capacity, 8);
-  const std::vector<ServeResult> results = server.take_results();
-  EXPECT_EQ(static_cast<int64_t>(results.size()), health.frames_total);
-  server.stop();
-}
-
-TEST_F(ServingFixture, ServerBurstRespectsQueueBound) {
-  // Stall every frame's saliency stage on a real clock so the worker is
-  // genuinely slower than the producer; the queue must cap, shed the oldest,
-  // and never exceed its capacity.
-  faults::TimingFaultInjector faults;
-  faults.add({static_cast<int>(Stage::kSaliency), 2 * kMs, 0,
-              std::numeric_limits<int64_t>::max() - 1, 1});
-  SupervisorConfig config = tight_config(&faults);
-  config.breaker.failure_threshold = 1'000'000;
-  Supervisor supervisor(*detector_, steering_, config);
-  ServerConfig server_config;
-  server_config.queue_capacity = 4;
-  server_config.keep_results = false;
-  ServingServer server(supervisor, server_config);
-  Rng rng(65);
-  int64_t shed = 0;
-  for (int i = 0; i < 64; ++i) shed += static_cast<int64_t>(server.submit(familiar_frame(rng)));
-  server.drain();
-  const HealthSnapshot health = server.health();
-  EXPECT_EQ(health.frames_total + shed, 64);
-  EXPECT_LE(health.queue_high_water, 4);
-  EXPECT_TRUE(server.take_results().empty());
-  server.stop();
-}
-
 TEST_F(ServingFixture, PersistentStallFailsEveryProbeWithoutRetripping) {
   // Supervisor-level view of the repeated-probe-failure cycle: a saliency
   // stall that never clears must trip the breaker exactly once, fail every
@@ -627,44 +540,6 @@ TEST_F(ServingFixture, PersistentStallFailsEveryProbeWithoutRetripping) {
   EXPECT_EQ(health.promotions, 0);
   EXPECT_NE(health.breaker_state, BreakerState::kClosed);
   EXPECT_EQ(health.mode, ServingMode::kRawMse);
-}
-
-TEST_F(ServingFixture, ProbeDuringQueueBurstRestoresLadder) {
-  // The half-open probe fires while the server is absorbing a producer
-  // burst: shedding changes which *camera* frames are processed, but stalls
-  // key off the supervisor's own frame counter, so the trip -> backoff ->
-  // probe -> restore cycle happens on exactly the same processed-frame
-  // indices regardless of queue pressure.
-  faults::TimingFaultInjector faults;
-  faults.add({static_cast<int>(Stage::kSaliency), 10 * kMs, /*first_frame=*/0,
-              /*last_frame=*/1, /*period=*/1});
-  FakeClock clock;
-  SupervisorConfig config = tight_config(&faults);
-  config.breaker.failure_threshold = 2;
-  config.breaker.open_frames = 2;
-  config.promote_after_healthy_frames = 2;
-  Supervisor supervisor(*detector_, steering_, config, &clock);
-  ServerConfig server_config;
-  server_config.queue_capacity = 8;
-  ServingServer server(supervisor, server_config);
-  Rng rng(73);
-  int64_t shed = 0;
-  for (int i = 0; i < 60; ++i) shed += static_cast<int64_t>(server.submit(familiar_frame(rng)));
-  server.drain();
-  const HealthSnapshot health = server.health();
-  EXPECT_EQ(health.frames_total + shed, 60);
-  // Even in the worst burst case the drain processes >= queue_capacity
-  // frames, which covers trip (frame 1), backoff (2..3), and the successful
-  // probe that restores the top rung.
-  ASSERT_GE(health.frames_total, 8);
-  EXPECT_EQ(health.breaker_trips, 1);
-  EXPECT_EQ(health.probe_failures, 0);
-  EXPECT_EQ(health.probe_successes, 1);
-  EXPECT_EQ(health.breaker_state, BreakerState::kClosed);
-  EXPECT_EQ(health.mode, ServingMode::kVbpSsim);
-  const std::vector<ServeResult> results = server.take_results();
-  EXPECT_EQ(static_cast<int64_t>(results.size()), health.frames_total);
-  server.stop();
 }
 
 TEST_F(ServingFixture, HotSwapChangesVerdictsWithoutInterruptingService) {
@@ -715,73 +590,6 @@ TEST_F(ServingFixture, HotSwapChangesVerdictsWithoutInterruptingService) {
       << "fitted threshold flags the shifted stream";
   EXPECT_LT(static_cast<double>(novel_after_swap) / scored_after_swap, 0.25)
       << "swapped threshold is calibrated to the shifted stream";
-}
-
-TEST_F(ServingFixture, ServerConcurrentHotSwapNeverBlocksScoring) {
-  // Hot-swap thread-safety under load (runs under TSan, see
-  // tools/run_tsan.sh): one thread streams frames through the server while
-  // another repeatedly installs fresh ThresholdSets and reads health
-  // snapshots. The scorer's acquire is wait-free, so every accepted frame is
-  // processed and the served epoch only moves forward.
-  Supervisor supervisor(*detector_, steering_, tight_config(nullptr));
-  ServerConfig server_config;
-  server_config.queue_capacity = 16;
-  ServingServer server(supervisor, server_config);
-
-  constexpr int64_t kInstalls = 200;
-  std::thread installer([&] {
-    for (int64_t epoch = 1; epoch <= kInstalls; ++epoch) {
-      auto set = std::make_shared<calib::ThresholdSet>();
-      set->epoch = epoch;
-      for (int v = 0; v < core::kDetectorVariantCount; ++v) {
-        set->thresholds[static_cast<size_t>(v)] =
-            detector_->variant_calibration(static_cast<core::DetectorVariant>(v)).threshold;
-      }
-      supervisor.install_thresholds(std::move(set));
-      (void)server.health();
-    }
-  });
-
-  Rng rng(77);
-  int64_t shed = 0;
-  for (int i = 0; i < 40; ++i) shed += static_cast<int64_t>(server.submit(familiar_frame(rng)));
-  installer.join();
-  server.drain();
-
-  const HealthSnapshot health = server.health();
-  EXPECT_EQ(health.frames_total + shed, 40);
-  EXPECT_EQ(health.threshold_swaps, kInstalls);
-  const std::vector<ServeResult> results = server.take_results();
-  int64_t last_epoch = 0;
-  for (const ServeResult& result : results) {
-    EXPECT_GE(result.threshold_epoch, last_epoch) << "served epoch must be monotone";
-    last_epoch = std::max(last_epoch, result.threshold_epoch);
-  }
-  server.stop();
-}
-
-TEST_F(ServingFixture, ServerConcurrentProducersAndSnapshots) {
-  Supervisor supervisor(*detector_, steering_, tight_config(nullptr));
-  ServerConfig server_config;
-  server_config.queue_capacity = 16;
-  ServingServer server(supervisor, server_config);
-
-  std::atomic<int64_t> shed{0};
-  const auto produce = [&](int seed) {
-    Rng rng(seed);
-    for (int i = 0; i < 25; ++i) {
-      shed += static_cast<int64_t>(server.submit(familiar_frame(rng)));
-    }
-  };
-  std::thread a(produce, 67);
-  std::thread b(produce, 69);
-  for (int i = 0; i < 10; ++i) (void)server.health();  // concurrent snapshots
-  a.join();
-  b.join();
-  server.drain();
-  const HealthSnapshot health = server.health();
-  EXPECT_EQ(health.frames_total + shed.load(), 50);
-  server.stop();
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the trace layer's data plane: spec validation, versioned
 // CRC-guarded (de)serialization including zero- and single-frame traces,
-// and the first-divergence diffing used by the conformance harness. No
+// typed rejection of retired versions and lying record counts, and the
+// first-divergence diffing used by the conformance harness. No
 // pipeline is fitted here — conformance_test covers the live record/replay
 // path; these tests pin the format and the diff semantics.
 #include <gtest/gtest.h>
@@ -332,6 +333,71 @@ TEST(TraceFormat, RejectsOutOfRangeEnums) {
   bytes[pos] = 100;  // way out of range
   std::istringstream is(bytes);
   EXPECT_THROW(Trace::load(is), SerializationError);
+}
+
+TEST(TraceFormat, RejectsRetiredVersions) {
+  // Only v5 loads. A header naming any other version is refused before the
+  // body is read, including a v4 header over a complete v5 body, which a
+  // v4 reader would misparse without noticing.
+  for (uint32_t version : {1u, 2u, 3u, 4u, 6u}) {
+    std::ostringstream os;
+    write_header(os, "salnov-trace", version);
+    std::istringstream is(os.str());
+    EXPECT_THROW(Trace::load(is), SerializationError) << "version " << version;
+  }
+  std::ostringstream v5_header;
+  write_header(v5_header, "salnov-trace", 5);
+  std::ostringstream v5;
+  Trace{}.save(v5);
+  ASSERT_EQ(v5.str().compare(0, v5_header.str().size(), v5_header.str()), 0);
+  std::ostringstream relabeled;
+  write_header(relabeled, "salnov-trace", 4);
+  relabeled << v5.str().substr(v5_header.str().size());
+  std::istringstream is(relabeled.str());
+  EXPECT_THROW(Trace::load(is), SerializationError) << "v4 header over a v5 body";
+}
+
+/// `with` is a default trace plus one record, so the two serializations
+/// first differ at that record's count (1 vs 0). Overwrites the count in the
+/// default trace's bytes with the `width`-byte little-endian `lie`, loads
+/// the result, and expects a SerializationError.
+void expect_lying_count_rejected(const Trace& with, size_t width, uint64_t lie) {
+  std::ostringstream a;
+  with.save(a);
+  std::ostringstream b;
+  Trace{}.save(b);
+  const std::string with_bytes = a.str();
+  std::string bytes = b.str();
+  size_t pos = 0;
+  while (pos < bytes.size() && bytes[pos] == with_bytes[pos]) ++pos;
+  ASSERT_LE(pos + width, bytes.size());
+  for (size_t i = 0; i < width; ++i) {
+    bytes[pos + i] = static_cast<char>((lie >> (8 * i)) & 0xFFu);
+  }
+  std::istringstream is(bytes);
+  EXPECT_THROW(Trace::load(is), SerializationError);
+}
+
+// Lying record counts: each is far past anything the payload holds, so the
+// loader must refuse it as a SerializationError before sizing a vector.
+
+TEST(TraceFormat, RejectsLyingStallCount) {
+  Trace with;
+  with.spec.stalls.push_back({2, 10'000'000, 3, 9, 2});
+  expect_lying_count_rejected(with, sizeof(uint32_t), 0xFFFFFFFFu);
+}
+
+TEST(TraceFormat, RejectsLyingCameraFaultCount) {
+  Trace with;
+  with.spec.camera_faults.push_back({faults::CameraFault::kSaltPepper, 0.75, 4, 8, 1});
+  expect_lying_count_rejected(with, sizeof(uint32_t), 0xFFFFFFFFu);
+}
+
+TEST(TraceFormat, RejectsLyingFrameCount) {
+  Trace with;
+  with.frames.push_back(TraceFrame{});
+  expect_lying_count_rejected(with, sizeof(int64_t),
+                              static_cast<uint64_t>(std::numeric_limits<int64_t>::max() - 1));
 }
 
 TEST(TraceSpec, ValidateRejectsBadSpecs) {

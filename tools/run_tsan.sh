@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Builds the test suite with ThreadSanitizer and runs the parallel-layer
-# and serving-runtime tests — the frame queue, the server's worker /
-# producer / snapshot threads, the multi-stream cluster's replica workers,
-# the replica failure domain (watchdog, fault schedules, failover /
-# chaos suites), the quantized int8 rungs (thread-count bit-identity
-# plus the int8 GEMM kernels on every band and the q8 conv reference), and
-# the fused steering/VBP batches of a mixed-rung cluster —
-# (plus any extra ctest -R pattern passed as $1).
+# and serving-runtime tests: the multi-stream cluster's replica workers
+# (including a one-stream cluster fed by two concurrent producers while
+# health snapshots are read, and threshold hot-swaps installed while a
+# stream serves), the replica failure domain (watchdog, fault schedules,
+# failover / chaos suites), the quantized int8 rungs (thread-count
+# bit-identity plus the int8 GEMM kernels on every band and the q8 conv
+# reference), and the fused steering/VBP batches of a mixed-rung cluster.
+# A ctest -R pattern passed as $1 replaces the default one.
 #
 # Usage:
-#   tools/run_tsan.sh              # run parallel_test under TSan
+#   tools/run_tsan.sh              # run the default subset under TSan
 #   tools/run_tsan.sh 'Detector'   # run tests matching 'Detector' instead
 #
 # Uses a dedicated build tree (build-tsan) so the regular build stays warm.
@@ -18,7 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-PATTERN="${1:-parallel_test|ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|FrameQueue|ServingFixture.Server|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|QuantGemmKernels|QuantizeU8|QuantConvReference|FusedCompute}"
+PATTERN="${1:-parallel_test|ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|QuantGemmKernels|QuantizeU8|QuantConvReference|FusedCompute}"
 
 cmake -B "$BUILD_DIR" -S . -DSALNOV_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)"
