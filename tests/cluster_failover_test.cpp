@@ -644,12 +644,8 @@ TEST_F(FailoverFixture, AdmissionCreditsShedOldestFirst) {
     if (e.kind == ClusterEventKind::kShed) shed_seqs.push_back(e.detail);
   }
   EXPECT_EQ(shed_seqs, (std::vector<int64_t>{0, 1, 2}));
-  // Shedding is visible in the per-stream and aggregate snapshots, and the
-  // stream's pending queue peaked at exactly its credits.
-  const HealthSnapshot stream = cluster.stream_health(0);
-  EXPECT_EQ(stream.queue_shed, 3);
-  EXPECT_EQ(stream.queue_capacity, 2);
-  EXPECT_EQ(stream.queue_high_water, 2);
+  // Shedding is visible in the per-stream and aggregate snapshots.
+  EXPECT_EQ(cluster.stream_health(0).queue_shed, 3);
   const HealthSnapshot agg = cluster.aggregate_health();
   EXPECT_EQ(agg.queue_shed, 3);
   EXPECT_EQ(agg.cluster.shed_frames, 3);

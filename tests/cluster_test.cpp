@@ -161,16 +161,12 @@ TEST_F(ClusterFixture, StopIsIdempotentAndDropsLateSubmissions) {
   ClusterConfig config;
   config.streams = 1;
   ServingCluster cluster(*detector_, steering_, config, &clock);
-  cluster.pause();
   Rng rng(7);
-  for (int i = 0; i < 3; ++i) cluster.submit(0, familiar_frame(rng));
-  cluster.stop();  // returns with all three still queued: it serves them, then joins
-  EXPECT_EQ(cluster.stream_health(0).frames_total, 3);
+  cluster.submit(0, familiar_frame(rng));
+  cluster.stop();
   cluster.stop();
   cluster.submit(0, familiar_frame(rng));  // dropped, not queued
-  const HealthSnapshot health = cluster.stream_health(0);
-  EXPECT_EQ(health.frames_total, 3);
-  EXPECT_EQ(health.queue_shed, 0) << "a late submission is dropped, not shed";
+  EXPECT_EQ(cluster.stream_health(0).frames_total, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -478,6 +474,56 @@ SupervisorConfig tight_config(const faults::TimingFaultInjector* faults) {
   config.frame_budget_ns = 1000 * kMs;
   config.timing_faults = faults;
   return config;
+}
+
+TEST_F(ClusterFixture, OneStreamShedsOldestWhenFull) {
+  // Five frames into three credits with the replica paused: frames 0 and 1
+  // are shed, the freshest three are served in order, and the pending queue
+  // peaks at exactly its credits.
+  FakeClock clock;
+  ClusterConfig config;
+  config.streams = 1;
+  config.admission_credits = 3;
+  ServingCluster cluster(*detector_, steering_, config, &clock);
+  cluster.pause();
+  Rng rng(61);
+  for (int i = 0; i < 5; ++i) cluster.submit(0, familiar_frame(rng));
+  HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.queue_shed, 2);
+  EXPECT_EQ(health.queue_capacity, 3);
+  EXPECT_EQ(health.queue_high_water, 3);
+  EXPECT_EQ(health.frames_total, 0);
+  cluster.drain();
+  std::vector<int64_t> served;
+  for (const ClusterResult& r : cluster.take_results()) served.push_back(r.arrival_seq);
+  EXPECT_EQ(served, (std::vector<int64_t>{2, 3, 4})) << "frames 0 and 1 were shed";
+  std::vector<int64_t> shed_seqs;
+  for (const ClusterEvent& e : cluster.take_events()) {
+    if (e.kind == ClusterEventKind::kShed) shed_seqs.push_back(e.detail);
+  }
+  EXPECT_EQ(shed_seqs, (std::vector<int64_t>{0, 1}));
+  health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total, 3);
+  EXPECT_EQ(health.queue_high_water, 3);
+  cluster.stop();
+}
+
+TEST_F(ClusterFixture, OneStreamStopServesQueuedFramesThenDropsLateOnes) {
+  FakeClock clock;
+  ClusterConfig config;
+  config.streams = 1;
+  config.admission_credits = 4;
+  ServingCluster cluster(*detector_, steering_, config, &clock);
+  cluster.pause();
+  Rng rng(71);
+  for (int i = 0; i < 3; ++i) cluster.submit(0, familiar_frame(rng));
+  cluster.stop();  // returns with all three still queued: it serves them, then joins
+  EXPECT_EQ(cluster.stream_health(0).frames_total, 3);
+  cluster.submit(0, familiar_frame(rng));  // dropped, not queued
+  const HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total, 3);
+  EXPECT_EQ(health.queue_shed, 0) << "a late submission is dropped, not shed";
+  EXPECT_EQ(cluster.take_results().size(), 3u);
 }
 
 TEST_F(ClusterFixture, OneStreamServesOrShedsEveryFrame) {
