@@ -282,7 +282,7 @@ double NoveltyDetector::variant_score_pair(DetectorVariant variant, const Image&
   if (variant_score_metric(variant) == ReconstructionScore::kMse) {
     return mse(reconstruction, preprocessed);
   }
-  return ssim_.mean_ssim(reconstruction.flattened(), preprocessed.flattened());
+  return ssim_.mean_ssim(reconstruction.tensor(), preprocessed.tensor());
 }
 
 std::vector<Image> NoveltyDetector::variant_preprocess_batch(

@@ -36,14 +36,23 @@ void Image::clamp01() {
 
 void Image::normalize_minmax() {
   if (empty()) return;
-  const float lo = pixels_.min();
-  const float hi = pixels_.max();
+  float* p = pixels_.data();
+  const int64_t count = numel();
+  // One pass with std::min_element / std::max_element semantics: strict
+  // comparisons keep the first of equal values (which zero sign wins), and
+  // a NaN is never picked unless it is the first element.
+  float lo = p[0];
+  float hi = p[0];
+  for (int64_t i = 1; i < count; ++i) {
+    lo = p[i] < lo ? p[i] : lo;
+    hi = hi < p[i] ? p[i] : hi;
+  }
   const float range = hi - lo;
   if (range <= 0.0f) {
-    pixels_.fill(0.0f);
+    std::fill(p, p + count, 0.0f);
     return;
   }
-  pixels_.apply([lo, range](float v) { return (v - lo) / range; });
+  for (int64_t i = 0; i < count; ++i) p[i] = (p[i] - lo) / range;
 }
 
 Tensor stack_frames(const std::vector<const Image*>& frames, const char* who) {

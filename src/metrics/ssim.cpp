@@ -4,10 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "metrics/summed_area.hpp"
-#include "parallel/parallel_for.hpp"
+#include "tensor/workspace.hpp"
 
 namespace salnov {
 namespace {
@@ -75,52 +74,24 @@ double ssim_sat(const Image& x, const Image& y, const SsimOptions& options, Imag
   const int64_t win = options.window, stride = options.stride;
   const double n_win = static_cast<double>(win * win);
 
-  const int64_t sat_size = (h + 1) * (w + 1);
-  std::vector<double> sx(sat_size), sy(sat_size), sxx(sat_size), syy(sat_size), sxy(sat_size);
-  {
-    // The five tables (x, y, x^2, y^2, xy) are independent, so each builds
-    // on its own pool worker; the grid fill + prefix-sum per table is the
-    // same arithmetic at any thread count.
-    double* const sats[5] = {sx.data(), sy.data(), sxx.data(), syy.data(), sxy.data()};
-    const float* xs = x.tensor().data();
-    const float* ys = y.tensor().data();
-    parallel::parallel_for(0, 5, 1, [&](int64_t table_begin, int64_t table_end) {
-      std::vector<double> grid(static_cast<size_t>(h * w));
-      for (int64_t t = table_begin; t < table_end; ++t) {
-        for (int64_t i = 0; i < h * w; ++i) {
-          const double xv = xs[i];
-          const double yv = ys[i];
-          switch (t) {
-            case 0: grid[i] = xv; break;
-            case 1: grid[i] = yv; break;
-            case 2: grid[i] = xv * xv; break;
-            case 3: grid[i] = yv * yv; break;
-            default: grid[i] = xv * yv; break;
-          }
-        }
-        build_summed_area(grid.data(), h, w, sats[t]);
-      }
-    });
-  }
+  WorkspaceScope scratch;
+  const SsimMoments sat = split_moments(scratch.doubles(5 * (h + 1) * (w + 1)), (h + 1) * (w + 1));
+  build_ssim_tables(x.tensor().data(), y.tensor().data(), h, w, sat);
 
   const int64_t rows = (h - win) / stride + 1;
   const int64_t cols = (w - win) / stride + 1;
+  const SsimMoments sums = split_moments(scratch.doubles(5 * cols), cols);
   double acc = 0.0;
   for (int64_t r = 0; r < rows; ++r) {
-    const int64_t y0 = r * stride;
+    ssim_window_row_sums(sat, w, r * stride, win, stride, cols, sums);
     for (int64_t c = 0; c < cols; ++c) {
-      const int64_t x0 = c * stride;
       WindowStats s;
-      s.mu_x = summed_area_rect(sx.data(), w, y0, x0, y0 + win, x0 + win) / n_win;
-      s.mu_y = summed_area_rect(sy.data(), w, y0, x0, y0 + win, x0 + win) / n_win;
-      s.var_x = std::max(
-          0.0, summed_area_rect(sxx.data(), w, y0, x0, y0 + win, x0 + win) / n_win - s.mu_x * s.mu_x);
-      s.var_y = std::max(
-          0.0, summed_area_rect(syy.data(), w, y0, x0, y0 + win, x0 + win) / n_win - s.mu_y * s.mu_y);
+      s.mu_x = sums.x[c] / n_win;
+      s.mu_y = sums.y[c] / n_win;
+      s.var_x = std::max(0.0, sums.xx[c] / n_win - s.mu_x * s.mu_x);
+      s.var_y = std::max(0.0, sums.yy[c] / n_win - s.mu_y * s.mu_y);
       const double cov_cap = std::sqrt(s.var_x * s.var_y);
-      s.cov_xy = std::clamp(
-          summed_area_rect(sxy.data(), w, y0, x0, y0 + win, x0 + win) / n_win - s.mu_x * s.mu_y,
-          -cov_cap, cov_cap);
+      s.cov_xy = std::clamp(sums.xy[c] / n_win - s.mu_x * s.mu_y, -cov_cap, cov_cap);
       const double value = ssim_from_stats(s, options);
       acc += value;
       if (map != nullptr) (*map)(r, c) = static_cast<float>(value);

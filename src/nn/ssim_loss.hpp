@@ -35,8 +35,10 @@ class SsimLoss : public Loss {
   Tensor gradient(const Tensor& prediction, const Tensor& target) const override;
   std::string name() const override { return "ssim"; }
 
-  /// Mean SSIM of a single flattened (reconstruction, input) pair; the
-  /// novelty *score* used at detection time (higher = more similar).
+  /// Mean SSIM of a single (reconstruction, input) pair of height * width
+  /// elements each, in any shape (an Image's [h, w] tensor works), read in
+  /// place; the novelty *score* used at detection time (higher = more
+  /// similar).
   double mean_ssim(const Tensor& prediction_row, const Tensor& target_row) const;
 
   int64_t height() const { return height_; }

@@ -43,7 +43,10 @@
 // exponential backoff using a canary frame whose known-good steering angle
 // is computed from a pristine copy of the weights at construction.
 // Admission credits (config.admission_credits) bound each stream's pending
-// frames; past the bound the stream's oldest queued frame is shed.
+// frames: a frame holds its credit from admission until it is served, so
+// the frames of a sealed batch in flight count too. Past the bound the
+// stream's oldest still-queued frame is shed; when every pending frame is
+// inside a sealed batch there is none, and the new arrival is shed itself.
 #pragma once
 
 #include <atomic>
@@ -80,10 +83,14 @@ struct ClusterConfig {
   /// without a watchdog routes statically and never fails over; admission
   /// credits still shed).
   WatchdogConfig watchdog;
-  /// Max pending (queued, unprocessed) frames per stream; past it the
-  /// stream's oldest queued frame is shed. 0 disables admission control.
-  /// A one-stream cluster with credits is the bounded drop-oldest queue
-  /// in front of a single camera's Supervisor.
+  /// Max pending (admitted, not yet served) frames per stream, counting
+  /// frames of a sealed batch in flight. Past it the stream's oldest
+  /// still-queued frame is shed, or the arrival itself when none is queued.
+  /// Shedding is therefore oldest-first only while max_batch < credits:
+  /// with max_batch >= credits one full batch in flight holds every credit,
+  /// and arrivals during it are shed newest-first. 0 disables admission
+  /// control. A one-stream cluster with credits is the bounded queue in
+  /// front of a single camera's Supervisor.
   int64_t admission_credits = 0;
   /// Scheduled replica faults; may be null. Must outlive the cluster.
   const faults::ReplicaFaultSchedule* replica_faults = nullptr;

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace salnov {
@@ -80,6 +81,13 @@ class WorkspaceScope {
   WorkspaceScope& operator=(const WorkspaceScope&) = delete;
 
   float* floats(int64_t count) { return workspace_.alloc_floats(count); }
+  /// `count` doubles: the same aligned, uninitialized arena memory.
+  double* doubles(int64_t count) {
+    double* buffer = static_cast<double*>(static_cast<void*>(workspace_.alloc_floats(2 * count)));
+    // Starts the doubles' lifetimes in the raw storage; compiles to nothing.
+    std::uninitialized_default_construct_n(buffer, count);
+    return buffer;
+  }
 
  private:
   Workspace& workspace_;

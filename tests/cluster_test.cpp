@@ -14,9 +14,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -505,6 +507,87 @@ TEST_F(ClusterFixture, OneStreamShedsOldestWhenFull) {
   health = cluster.stream_health(0);
   EXPECT_EQ(health.frames_total, 3);
   EXPECT_EQ(health.queue_high_water, 3);
+  cluster.stop();
+}
+
+/// A FakeClock whose first positive sleep after arm() holds the sleeping
+/// thread until release(). A stage stall then keeps a sealed batch in
+/// flight for exactly as long as the test needs; every other sleep just
+/// advances time.
+class GatedClock final : public Clock {
+ public:
+  int64_t now_ns() override { return clock_.now_ns(); }
+  void sleep_ns(int64_t ns) override {
+    if (ns > 0) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (armed_ && !released_) {
+        sleeping_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+      }
+    }
+    clock_.advance_ns(ns);
+  }
+  void arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void wait_until_sleeping() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return sleeping_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  FakeClock clock_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool sleeping_ = false;
+  bool released_ = false;
+};
+
+TEST_F(ClusterFixture, OneStreamInFlightBatchShedsArrivalsNewestFirst) {
+  // A frame holds its admission credit until it is served, so the frames of
+  // a sealed batch in flight count against the credits. With max_batch >=
+  // credits one full batch leaves no queued frame to shed, and each arrival
+  // while it runs is shed itself: newest-first, not oldest-first.
+  faults::TimingFaultInjector faults;
+  faults.add({static_cast<int>(Stage::kSaliency), 1, 0, std::numeric_limits<int64_t>::max(), 1});
+  GatedClock clock;
+  ClusterConfig config = one_stream_config(2, tight_config(&faults));
+  config.max_batch = 2;
+  ServingCluster cluster(*detector_, steering_, config, &clock);
+  cluster.pause();
+  Rng rng(81);
+  cluster.submit(0, familiar_frame(rng));
+  cluster.submit(0, familiar_frame(rng));
+  clock.arm();
+  cluster.resume();             // seals {0, 1} at max_batch
+  clock.wait_until_sleeping();  // frame 0 is stalled inside that batch
+  cluster.submit(0, familiar_frame(rng));
+  cluster.submit(0, familiar_frame(rng));
+  // shed_for_stream, not stream_health: the stalled frame holds the
+  // stream's supervisor lock that a health snapshot takes.
+  EXPECT_EQ(cluster.shed_for_stream(0), 2);
+  clock.release();
+  cluster.drain();
+  std::vector<int64_t> served;
+  for (const ClusterResult& r : cluster.take_results()) served.push_back(r.arrival_seq);
+  EXPECT_EQ(served, (std::vector<int64_t>{0, 1})) << "the batch in flight is served";
+  std::vector<int64_t> shed_seqs;
+  for (const ClusterEvent& e : cluster.take_events()) {
+    if (e.kind == ClusterEventKind::kShed) shed_seqs.push_back(e.detail);
+  }
+  EXPECT_EQ(shed_seqs, (std::vector<int64_t>{2, 3})) << "the arrivals are shed, newest first";
+  const HealthSnapshot health = cluster.stream_health(0);
+  EXPECT_EQ(health.frames_total, 2);
+  EXPECT_EQ(health.queue_shed, 2);
+  EXPECT_EQ(health.queue_high_water, 2);
   cluster.stop();
 }
 

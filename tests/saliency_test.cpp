@@ -68,6 +68,31 @@ TEST(DeconvOnes, RejectsNonMatrix) {
   EXPECT_THROW(deconv_ones(Tensor({2, 2, 2}), 3, 3, 1, 0, 4, 4), std::invalid_argument);
 }
 
+TEST(DeconvOnes, RejectsStrideBelowOne) {
+  const Tensor map({2, 2}, {1, 1, 1, 1});
+  EXPECT_THROW(deconv_ones(map, 3, 3, 0, 0, 4, 4), std::invalid_argument);
+  EXPECT_THROW(deconv_ones(map, 3, 3, -1, 0, 4, 4), std::invalid_argument);
+}
+
+TEST(DeconvOnes, RejectsKernelBelowOne) {
+  const Tensor map({2, 2}, {1, 1, 1, 1});
+  EXPECT_THROW(deconv_ones(map, 0, 3, 1, 0, 4, 4), std::invalid_argument);
+  EXPECT_THROW(deconv_ones(map, 3, 0, 1, 0, 4, 4), std::invalid_argument);
+  EXPECT_THROW(deconv_ones(map, -3, 3, 1, 0, 4, 4), std::invalid_argument);
+}
+
+TEST(DeconvOnes, RejectsNegativePadding) {
+  const Tensor map({2, 2}, {1, 1, 1, 1});
+  EXPECT_THROW(deconv_ones(map, 3, 3, 1, -1, 4, 4), std::invalid_argument);
+}
+
+TEST(DeconvOnes, RejectsNonPositiveOutputSize) {
+  const Tensor map({2, 2}, {1, 1, 1, 1});
+  EXPECT_THROW(deconv_ones(map, 3, 3, 1, 0, 0, 4), std::invalid_argument);
+  EXPECT_THROW(deconv_ones(map, 3, 3, 1, 0, 4, 0), std::invalid_argument);
+  EXPECT_THROW(deconv_ones(map, 3, 3, 1, 0, -4, 4), std::invalid_argument);
+}
+
 TEST(DeconvOnes, ConservesMassTimesKernelAreaWhenUnclipped) {
   // Each input value is scattered into kh*kw output cells; with a target
   // large enough that nothing clips, sum(out) = sum(in) * kh * kw.

@@ -134,9 +134,15 @@ TEST(Workspace, SteadyStateDetectorScoringAllocatesNothing) {
   detector.fit(train.images(), fit_rng);
 
   // Warm-up: grows every participating thread's arena to its high-water
-  // mark and populates the lazy weight packs.
+  // mark and populates the lazy weight packs. The VBP channel averages and
+  // relevance ping-pong and the SSIM summed-area tables all come from the
+  // arena, so a frame that needed fresh scratch would move the counter.
   std::vector<double> warm;
   for (const auto& img : probe.images()) warm.push_back(detector.score(img));
+  const std::vector<const Image*> batch = image_views(probe.images());
+  ASSERT_EQ(batch.size(), 4u);
+  const std::vector<double> warm_batch =
+      detector.score_batch(core::DetectorVariant::kPrimary, batch);
 
   const int64_t baseline = Workspace::heap_allocation_count();
   std::vector<double> steady;
@@ -145,10 +151,17 @@ TEST(Workspace, SteadyStateDetectorScoringAllocatesNothing) {
   }
   EXPECT_EQ(Workspace::heap_allocation_count(), baseline)
       << "steady-state scoring grew a workspace arena";
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(detector.score_batch(core::DetectorVariant::kPrimary, batch), warm_batch);
+  }
+  EXPECT_EQ(Workspace::heap_allocation_count(), baseline)
+      << "steady-state batch-4 scoring grew a workspace arena";
 
-  // And warm-up did not change the scores.
+  // And warm-up did not change the scores; the batch scores are the
+  // batch-1 ones.
   for (size_t i = 0; i < warm.size(); ++i) {
     EXPECT_EQ(steady[i], warm[i]) << "score " << i;
+    EXPECT_EQ(warm_batch[i], warm[i]) << "batch score " << i;
   }
 }
 

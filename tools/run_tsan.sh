@@ -6,7 +6,9 @@
 # stream serves), the replica failure domain (watchdog, fault schedules,
 # failover / chaos suites), the quantized int8 rungs (thread-count
 # bit-identity plus the int8 GEMM kernels on every band and the q8 conv
-# reference), and the fused steering/VBP batches of a mixed-rung cluster.
+# reference), the fused steering/VBP batches of a mixed-rung cluster, and
+# the VBP relevance chain and SSIM score on per-thread arena scratch (which
+# cluster replicas run concurrently).
 # A ctest -R pattern passed as $1 replaces the default one.
 #
 # Usage:
@@ -19,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-PATTERN="${1:-parallel_test|ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|QuantGemmKernels|QuantizeU8|QuantConvReference|FusedCompute}"
+PATTERN="${1:-parallel_test|ParallelFor|GemmParallel|SsimParallel|DetectorParallel|DatasetParallel|HotSwap|ClusterFixture|FailoverFixture|ReplicaWatchdog|ReplicaFaultSchedule|QuantDifferentialFixture|GemmInt8|QuantGemmKernels|QuantizeU8|QuantConvReference|FusedCompute|RelevanceSsimOracle}"
 
 cmake -B "$BUILD_DIR" -S . -DSALNOV_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)"
